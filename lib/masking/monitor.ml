@@ -55,14 +55,6 @@ let aging_sweep ?(trials = 400) ?(seed = 42)
      patterns are packed 62 per word and each block costs one Bitsim
      pass over all outputs, instead of one flag probe per trial. *)
   let bsim = Bitsim.of_mapped combined in
-  let popcount w =
-    let c = ref 0 and x = ref w in
-    while !x <> 0 do
-      x := !x land (!x - 1);
-      incr c
-    done;
-    !c
-  in
   let sample factor =
     let delays = Tsim.degraded_delays base_delays ~factor ~on:ages in
     let raw = ref 0 and masked = ref 0 and logged = ref 0 and raised = ref 0 in
@@ -77,7 +69,7 @@ let aging_sweep ?(trials = 400) ?(seed = 42)
               acc lor words.(po.Synthesis.e_combined))
             0 m.Synthesis.per_output
         in
-        raised := !raised + popcount (e_any land ((1 lsl !fill) - 1));
+        raised := !raised + Bitsim.popcount (e_any land ((1 lsl !fill) - 1));
         Array.fill to_words 0 n_in 0;
         fill := 0
       end

@@ -75,24 +75,128 @@ let test_sta_monotone_arrival () =
 
 (* ---------- Bit-parallel simulation ---------- *)
 
-let test_bitsim_matches_eval () =
-  let net = Suite.load "x2" in
+(* Every bit 0-61 of [words] random words against the scalar
+   [Network.eval] reference. *)
+let check_bitsim_net ~what net rng ~words:nwords =
   let sim = Bitsim.prepare net in
-  let rng = Util.Rng.create 11 in
-  for _ = 1 to 20 do
+  for _ = 1 to nwords do
     let words = Bitsim.random_pi_words sim rng in
     let values = Bitsim.eval_word sim words in
-    (* Check a handful of bit positions against scalar evaluation. *)
-    List.iter
-      (fun bit ->
-        let pattern = Array.map (fun w -> w lsr bit land 1 = 1) words in
-        let scalar = Network.eval net pattern in
-        Array.iteri
-          (fun s v ->
-            check "bitsim = eval" true ((values.(s) lsr bit land 1 = 1) = v))
-          scalar)
-      [ 0; 7; 31; 61 ]
+    for bit = 0 to 61 do
+      let pattern = Array.map (fun w -> w lsr bit land 1 = 1) words in
+      Array.iteri
+        (fun s v ->
+          if (values.(s) lsr bit land 1 = 1) <> v then
+            Alcotest.failf "%s: signal %s bit %d: bitsim <> eval" what
+              (Network.name_of net s) bit)
+        (Network.eval net pattern)
+    done
   done
+
+(* Under `dune runtest` the cwd is the test directory (fixtures are
+   declared deps); fall back for manual runs from the repo root. *)
+let fixture_path name =
+  let candidates =
+    [ Filename.concat "fixtures" name; Filename.concat "test/fixtures" name ]
+  in
+  match List.find_opt Sys.file_exists candidates with
+  | Some path -> path
+  | None -> Alcotest.failf "fixture %s not found" name
+
+let test_bitsim_matches_eval () =
+  let rng = Util.Rng.create 11 in
+  check_bitsim_net ~what:"x2" (Suite.load "x2") rng ~words:20;
+  List.iter
+    (fun name ->
+      check_bitsim_net ~what:name (Blif.parse_file (fixture_path name)) rng ~words:4)
+    [
+      "gen_edge_const_only.blif";
+      "gen_edge_npo.blif";
+      "gen_edge_one_pi.blif";
+      "gen_edge_zero_gates.blif";
+    ];
+  let frng = Fuzz.Rng.create ~seed:12 in
+  let spec = ref (Fuzz.Gen.generate frng) in
+  (* Shapes the corpus must reach: zero-cube covers, zero-literal
+     cubes, duplicate fanins, 1-input gates, zero-gate nets. *)
+  let seen = Array.make 5 false in
+  let note (nd : Fuzz.Gen.node) =
+    let cubes = Logic2.Cover.cubes nd.func in
+    let fanins = Array.to_list nd.fanins in
+    if cubes = [] then seen.(0) <- true;
+    if List.exists Logic2.Cube.is_universe cubes then seen.(1) <- true;
+    if List.length (List.sort_uniq compare fanins) < List.length fanins then
+      seen.(2) <- true;
+    if List.length fanins = 1 then seen.(3) <- true
+  in
+  for i = 1 to 240 do
+    (* Alternate fresh specimens with mutations of the last one. *)
+    spec := if i mod 2 = 0 then Fuzz.Gen.mutate frng !spec else Fuzz.Gen.generate frng;
+    Array.iter note !spec.nodes;
+    if !spec.nodes = [||] then seen.(4) <- true;
+    check_bitsim_net ~what:(Printf.sprintf "fuzz specimen %d" i)
+      (Fuzz.Gen.network !spec) rng ~words:2
+  done;
+  Array.iteri
+    (fun i hit ->
+      check
+        ([| "zero-cube cover"; "zero-literal cube"; "duplicate fanin";
+            "1-input gate"; "zero-gate net" |].(i) ^ " reached")
+        true hit)
+    seen
+
+let test_popcount () =
+  let naive x =
+    let c = ref 0 in
+    for b = 0 to 62 do
+      c := !c + ((x lsr b) land 1)
+    done;
+    !c
+  in
+  let agree x = check_int (Printf.sprintf "popcount %#x" x) (naive x) (Bitsim.popcount x) in
+  List.iter agree [ 0; 1; 1 lsl 61; (1 lsl 62) - 1 ];
+  let rng = Util.Rng.create 5 in
+  for _ = 1 to 10_000 do
+    (* A random 62-bit value from two 31-bit halves. *)
+    agree ((Util.Rng.int rng (1 lsl 31) lsl 31) lor Util.Rng.int rng (1 lsl 31))
+  done
+
+(* Pinned bit-for-bit from the interpretive evaluator this kernel
+   replaced: any drift in toggle counting (the 61-bit within-word mask,
+   the seam bit, pairs = (rounds - 1) * 62) or in the RNG stream moves
+   these. *)
+let test_power_pinned () =
+  List.iter
+    (fun (name, expected) ->
+      let mc = Mapper.map (Suite.load name) in
+      Alcotest.(check (float 0.))
+        (name ^ " power, 128 rounds") expected
+        (Power.total ~rounds:128 mc))
+    [
+      ("i1", 0x1.a321edf9adfddp+6);
+      ("C432", 0x1.6106eb273c4dap+7);
+      ("C880", 0x1.9fa876ea876e5p+8);
+    ];
+  let sim = Bitsim.of_mapped (Mapper.map (Suite.load "i1")) in
+  let toggles =
+    [| 3988; 4032; 3915; 3878; 3971; 3932; 3928; 3941; 3879; 3960; 3981; 3993;
+       3991; 3922; 3907; 3988; 3981; 3951; 3895; 3835; 3939; 3970; 3950; 3927;
+       3942; 3993; 936; 3950; 3981; 1720; 3970; 894; 3950; 3960; 1750; 2951;
+       3895; 3835; 3942; 905; 3939; 1698; 3686; 960; 2970; 996; 3388; 3951;
+       1719; 3971; 3915; 3981; 3932; 266; 1104; 12; 3988; 3686; 3988; 1719;
+       866; 3889; 3273; 4032; 3879; 936; 0; 3874; 0; 3063; 2663; 3681; 3741;
+       1741; 0; 0; 2854; 3331; 3236; 3975; 3975; 0; 3993; 3945; 3924; 3916;
+       3908; 4010; 2860; 2829; 2823; 3940; 3391; 3774; 3888; 3946; 3872; 3906;
+       3042; 3978; 3886; 3935; 3901; 3801; 3797; 3947; 2896; 2887; 2944; 3935;
+       3847 |]
+  in
+  let pairs = 127 * 62 in
+  let expected = Array.map (fun c -> float_of_int c /. float_of_int pairs) toggles in
+  let got = Bitsim.activities sim (Util.Rng.create 1) ~rounds:128 in
+  check_int "i1 signals" (Array.length expected) (Array.length got);
+  Array.iteri
+    (fun s a -> Alcotest.(check (float 0.)) (Printf.sprintf "i1 activity %d" s) a got.(s))
+    expected
 
 let test_power_report () =
   let net = Suite.load "i1" in
@@ -200,7 +304,9 @@ let () =
       ( "bitsim",
         [
           Alcotest.test_case "matches eval" `Quick test_bitsim_matches_eval;
+          Alcotest.test_case "popcount" `Quick test_popcount;
           Alcotest.test_case "power report" `Quick test_power_report;
+          Alcotest.test_case "power pinned" `Quick test_power_pinned;
         ] );
       ( "tsim",
         [
