@@ -11,6 +11,8 @@
      trace     trace-buffer window expansion report
      fuzz      property-based differential fuzzing of the whole stack
      report    diff the EMASK_LEDGER run ledger, incl. bench baselines
+     serve     the persistent analysis daemon
+     client    run lint/spcf/paths/protect/eco (same flags) on a daemon
 
    Every subcommand accepts --stats (print the instrumentation report:
    span tree, counters, histograms), --stats-json FILE (the same data
@@ -25,120 +27,19 @@
 
 open Cmdliner
 
-(* The CLI exception boundary: bad input must produce a one-line
-   diagnostic and exit 2 — the lint preflight policy — never a raw
-   OCaml backtrace. Every subcommand body runs inside [guarded]. *)
-let cli_error code msg =
-  Printf.eprintf "emask: error %s: %s\n%!" code msg;
-  exit 2
-
-let guarded f =
-  try f () with
-  | Analysis.Lint.Gate_failed msg ->
-    (* Same rendering as the old in-loader gate: a one-line summary
-       without an error code. *)
-    Printf.eprintf "emask: %s\n%!" msg;
-    exit 2
-  | e -> (
-    match Serve_jobs.error_code e with
-    | Some (code, msg) -> cli_error code msg
-    | None -> raise e)
-
 (* Every entry point pre-flights its input with the cheap error-only
    lint subset and exits 2 with a one-line summary instead of failing
-   deep inside BDD construction ([guarded] renders the
+   deep inside BDD construction ([Cli.guarded] renders the
    [Analysis.Lint.Gate_failed] the shared loader raises). *)
-let cli_circuit spec = Serve_client.circuit_of_spec spec
-let load_circuit spec = (Serve_jobs.load_entry (cli_circuit spec)).Serve_jobs.e_net
+let load_circuit spec =
+  (Serve_jobs.load_entry (Serve_client.circuit_of_spec spec)).Serve_jobs.e_net
 
 let circuit_arg =
   let doc = "Benchmark name (see $(b,emask list)) or path to a BLIF file." in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"CIRCUIT" ~doc)
 
-(* θ scales the critical-path delay into the speed-path target; a
-   value outside (0, 1] silently inverts the band, so it is an
-   argument error under the same policy as --jobs. *)
-let theta_conv =
-  let parse s =
-    match float_of_string_opt s with
-    | Some v when v > 0. && v <= 1. -> Ok v
-    | Some _ | None ->
-      Error (`Msg (Printf.sprintf "THETA must lie in (0, 1], got %S" s))
-  in
-  Arg.conv (parse, fun ppf v -> Format.fprintf ppf "%g" v)
-
-let theta_arg =
-  let doc = "Target arrival factor: speed-paths within (1-THETA) of the critical path delay." in
-  Arg.(value & opt theta_conv 0.9 & info [ "theta" ] ~docv:"THETA" ~doc)
-
-let algorithm_arg =
-  let doc = "SPCF algorithm: short (proposed, exact), path (exact), node (over-approximate)." in
-  let algo_conv = Arg.enum [ ("short", `Short); ("path", `Path); ("node", `Node) ] in
-  Arg.(value & opt algo_conv `Short & info [ "algorithm"; "a" ] ~docv:"ALGO" ~doc)
-
-(* A strictly positive integer argument: 0 or a negative value is an
-   argument error, not a silent fallback to some other mode. *)
-let pos_int_conv what =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
-    | Some _ | None ->
-      Error (`Msg (Printf.sprintf "%s must be a positive integer, got %S" what s))
-  in
-  Arg.conv (parse, Format.pp_print_int)
-
-let pos_float_conv what =
-  let parse s =
-    match float_of_string_opt s with
-    | Some v when v > 0. && v < infinity -> Ok v
-    | Some _ | None ->
-      Error (`Msg (Printf.sprintf "%s must be a positive number, got %S" what s))
-  in
-  Arg.conv (parse, fun ppf v -> Format.fprintf ppf "%g" v)
-
-let jobs_arg =
-  let doc =
-    "Worker domains for the per-output SPCF fan-out (default: \\$(b,EMASK_JOBS), \
-     else the recommended domain count, capped at 8). Results are identical for \
-     every N; only runtime changes."
-  in
-  Arg.(
-    value
-    & opt (some (pos_int_conv "--jobs")) None
-    & info [ "jobs"; "j" ] ~docv:"N" ~doc)
-
-let resolve_jobs = function Some n -> n | None -> Spcf.Parallel.auto_jobs ()
-
-(* --- resource budgets --------------------------------------------------- *)
-
-let timeout_arg =
-  let doc =
-    "Wall-clock budget in seconds (also \\$(b,EMASK_BUDGET_TIMEOUT)). On exhaustion \
-     the computation degrades tier by tier (exact SPCF, node-based SPCF, always-on \
-     masking) instead of running away; degradation is reported, never silent."
-  in
-  Arg.(
-    value
-    & opt (some (pos_float_conv "--timeout")) None
-    & info [ "timeout" ] ~docv:"SEC" ~doc)
-
-let max_nodes_arg =
-  let doc =
-    "BDD node quota per manager (also \\$(b,EMASK_BUDGET_MAX_NODES)). Same \
-     degradation ladder as $(b,--timeout)."
-  in
-  Arg.(
-    value
-    & opt (some (pos_int_conv "--max-nodes")) None
-    & info [ "max-nodes" ] ~docv:"N" ~doc)
-
-let budget_term = Term.(const (fun t n -> (t, n)) $ timeout_arg $ max_nodes_arg)
-
-(* Flags take precedence; EMASK_BUDGET_* fills the gaps. *)
-let resolve_budget (timeout, max_nodes) =
-  Budget.merge
-    { Budget.timeout; max_nodes; max_ops = None; cancel_with = None }
-    (Budget.of_env ())
+(* The CIRCUIT argument as a job would ship it: a file is read here. *)
+let circuit = Term.(const Serve_client.circuit_of_spec $ circuit_arg)
 
 let report_synthesis_degradation (m : Masking.Synthesis.t) =
   let buf = Buffer.create 128 in
@@ -151,19 +52,6 @@ let stats_arg =
   let doc = "Print the instrumentation report (span tree, counters, histograms)." in
   Arg.(value & flag & info [ "stats" ] ~doc)
 
-let stats_json_arg =
-  let doc = "Write the instrumentation report as JSON to $(docv)." in
-  Arg.(value & opt (some string) None & info [ "stats-json" ] ~docv:"FILE" ~doc)
-
-let trace_out_arg =
-  let doc =
-    "Write a Chrome/Perfetto trace-event timeline to $(docv) (load it at \
-     ui.perfetto.dev or chrome://tracing): one row per domain, spans as complete \
-     events, budget walls and synthesis-ladder fallbacks as instant markers. \
-     Implies statistics collection."
-  in
-  Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
-
 let prom_arg =
   let doc =
     "Write the counter/histogram registry in Prometheus text exposition format to \
@@ -174,7 +62,7 @@ let prom_arg =
 let obs_term =
   Term.(
     const (fun s j t p -> (s, j, t, p))
-    $ stats_arg $ stats_json_arg $ trace_out_arg $ prom_arg)
+    $ stats_arg $ Cli.stats_json $ Cli.trace $ prom_arg)
 
 let env_truthy name =
   match Sys.getenv_opt name with None | Some "" | Some "0" -> false | Some _ -> true
@@ -210,6 +98,159 @@ let with_obs (stats, json, trace_out, prom) name f =
 let cli_note () = if Obs_ledger.enabled () then Some Obs_ledger.note else None
 let note_circuit spec net = Serve_jobs.note_circuit (cli_note ()) spec net
 
+(* --- analysis jobs: one request term per job --------------------------- *)
+
+(* Each of lint/spcf/paths/protect/eco is one term producing a
+   [Serve_protocol.request]; the one-shot subcommand and
+   [emask client <job>] are both built from it, so the two accept the
+   same flags with the same defaults and domains. *)
+
+let json_arg =
+  let doc = "Emit the diagnostics as a JSON report on stdout instead of text." in
+  Arg.(value & flag & info [ "json" ] ~doc)
+
+let contract_arg =
+  let doc =
+    "Also synthesize the error-masking circuit and verify the paper's masking \
+     contract (mux insertion, non-intrusiveness, indicator soundness, the >= 20% \
+     timing-slack margin)."
+  in
+  Arg.(value & flag & info [ "contract" ] ~doc)
+
+let prune_arg =
+  let doc =
+    "Drop a critical output from the masking cover when every near-critical path \
+     to it is provably false and its SPCF is empty (see $(b,emask paths)); the \
+     indicator shrinks, the soundness interval is preserved and re-verified."
+  in
+  Arg.(value & flag & info [ "prune-false-paths" ] ~doc)
+
+let edits_arg =
+  let doc =
+    "Edit-sequence file, one edit per line: $(b,replace), $(b,rewire), $(b,add), \
+     $(b,remove), $(b,add-output), $(b,drop-output); blank lines and $(b,#) \
+     comments are skipped. Fuzz $(b,.eco) repro files use this format."
+  in
+  Arg.(required & opt (some string) None & info [ "edits" ] ~docv:"FILE" ~doc)
+
+let eco_band_arg =
+  Cli.opt_arg
+    {
+      Serve_opts.band with
+      doc =
+        "Also carry sensitization verdicts for the near-critical band (same \
+         semantics as $(b,emask paths --band)); verdicts on paths through clean \
+         outputs are reused from the baseline.";
+    }
+
+let check_arg =
+  let doc =
+    "Cross-check the incremental result against a full from-scratch analysis of \
+     the edited design: the canonical forms must be byte-identical (exit 1 \
+     otherwise). This is the $(b,eco-equal) oracle on the given edit sequence."
+  in
+  Arg.(value & flag & info [ "check" ] ~doc)
+
+(* Lint a circuit. BLIF files are first analyzed in raw form (the only
+   form in which cycles and undriven/multiply-driven signals are even
+   representable); if the source passes the error-level checks it is
+   elaborated and the semantic + timing passes run on the mapped
+   realization. Suite circuits skip the source stage. *)
+let lint_info =
+  ( "lint",
+    "Statically analyze a circuit: structural well-formedness (cycles, undriven \
+     and multiply-driven signals, dead cones, provable constants), STA \
+     consistency, and optionally the masking contract" )
+
+let lint_term =
+  Term.(
+    const (fun c l_fail_on l_json l_contract l_theta l_jobs ->
+        Serve_protocol.Lint
+          (c, { Serve_jobs.l_fail_on; l_json; l_contract; l_theta; l_jobs }))
+    $ circuit $ Cli.arg Serve_opts.fail_on $ json_arg $ contract_arg
+    $ Cli.arg Serve_opts.theta $ Cli.jobs)
+
+let spcf_info = ("spcf", "Compute the speed-path characteristic function")
+
+let spcf_term =
+  Term.(
+    const (fun c s_theta s_algorithm s_jobs b ->
+        Serve_protocol.Spcf (c, { Serve_jobs.s_theta; s_algorithm; s_jobs }, b))
+    $ circuit $ Cli.arg Serve_opts.theta $ Cli.arg Serve_opts.algorithm $ Cli.jobs
+    $ Cli.budget)
+
+let paths_info =
+  ( "paths",
+    "Enumerate the near-critical structural paths and classify each as true \
+     (sensitizable, with a SAT witness pattern), false (no input pattern \
+     sensitizes it) or unknown (budget exhausted); reports the tightened \
+     functional delay bound per output" )
+
+let paths_term =
+  Term.(
+    const (fun c p_band p_max_paths p_jobs p_json p_fail_on b ->
+        Serve_protocol.Paths
+          (c, { Serve_jobs.p_band; p_max_paths; p_jobs; p_json; p_fail_on }, b))
+    $ circuit $ Cli.arg Serve_opts.band $ Cli.arg Serve_opts.max_paths $ Cli.jobs
+    $ json_arg $ Cli.arg Serve_opts.fail_on $ Cli.budget)
+
+let protect_info = ("protect", "Synthesize and verify an error-masking circuit")
+
+let protect_term =
+  Term.(
+    const (fun c m_theta m_jobs m_prune b ->
+        Serve_protocol.Protect (c, { Serve_jobs.m_theta; m_jobs; m_prune }, b))
+    $ circuit $ Cli.arg Serve_opts.theta $ Cli.jobs $ prune_arg $ Cli.budget)
+
+let eco_info =
+  ( "eco",
+    "Apply an engineering-change-order edit sequence and incrementally re-derive \
+     the timing-error-masking analysis: only the dirty transitive-fanout cone is \
+     recomputed; node functions, per-output SPCFs, masking covers and \
+     sensitization verdicts outside the cone are reused from the baseline \
+     snapshot" )
+
+let eco_term =
+  Term.(
+    const (fun c c_edits_name c_theta c_band c_jobs c_json c_check b ->
+        Serve_protocol.Eco
+          ( c,
+            {
+              Serve_jobs.c_edits_name;
+              c_edits = Serve_client.read_file c_edits_name;
+              c_theta;
+              c_band;
+              c_jobs;
+              c_json;
+              c_check;
+            },
+            b ))
+    $ circuit $ edits_arg $ Cli.arg Serve_opts.theta $ eco_band_arg $ Cli.jobs
+    $ json_arg $ check_arg $ Cli.budget)
+
+(* A one-shot job: the same dispatcher the daemon's workers use, over
+   the uncached loader, printed to stdout; the job's code is the exit
+   status. *)
+let one_shot (name, doc) ?(out = Term.const None) req =
+  let run obs out req =
+    let code =
+      with_obs obs name @@ fun () ->
+      let buf = Buffer.create 1024 in
+      let code =
+        Serve.run_request ~note:(cli_note ()) ?out ~lookup:Serve_jobs.load_entry
+          ~budget:Fun.id buf req
+      in
+      print_string (Buffer.contents buf);
+      code
+    in
+    if code <> 0 then exit code
+  in
+  Cmd.v (Cmd.info name ~doc) Term.(const run $ obs_term $ out $ req)
+
+let out_arg =
+  let doc = "Write the combined (protected) circuit as BLIF to $(docv)." in
+  Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc)
+
 (* --- subcommands -------------------------------------------------------- *)
 
 let list_run obs =
@@ -225,193 +266,11 @@ let list_cmd =
   Cmd.v (Cmd.info "list" ~doc:"List the built-in benchmark suite")
     Term.(const list_run $ obs_term)
 
-(* --- lint --------------------------------------------------------------- *)
-
-let fail_on_arg =
-  let doc =
-    "Severity that makes the exit status nonzero: $(b,error) (default; exit 2) or \
-     $(b,warning) (exit 1 on warnings, 2 on errors)."
-  in
-  let sev_conv =
-    Arg.enum [ ("error", Analysis.Diag.Error); ("warning", Analysis.Diag.Warning) ]
-  in
-  Arg.(
-    value & opt sev_conv Analysis.Diag.Error & info [ "fail-on" ] ~docv:"SEVERITY" ~doc)
-
-let json_arg =
-  let doc = "Emit the diagnostics as a JSON report on stdout instead of text." in
-  Arg.(value & flag & info [ "json" ] ~doc)
-
-let contract_arg =
-  let doc =
-    "Also synthesize the error-masking circuit and verify the paper's masking \
-     contract (mux insertion, non-intrusiveness, indicator soundness, the >= 20% \
-     timing-slack margin)."
-  in
-  Arg.(value & flag & info [ "contract" ] ~doc)
-
-(* Lint a circuit. BLIF files are first analyzed in raw form (the only
-   form in which cycles and undriven/multiply-driven signals are even
-   representable); if the source passes the error-level checks it is
-   elaborated and the semantic + timing passes run on the mapped
-   realization. Suite circuits skip the source stage. *)
-let lint_run obs spec fail_on json contract theta jobs =
-  let code =
-    guarded @@ fun () ->
-    with_obs obs "lint" @@ fun () ->
-    let buf = Buffer.create 1024 in
-    let code =
-      Serve_jobs.run_lint ~note:(cli_note ()) buf (cli_circuit spec)
-        {
-          Serve_jobs.l_fail_on = fail_on;
-          l_json = json;
-          l_contract = contract;
-          l_theta = theta;
-          l_jobs = resolve_jobs jobs;
-        }
-    in
-    print_string (Buffer.contents buf);
-    code
-  in
-  if code <> 0 then exit code
-
-let lint_cmd =
-  Cmd.v
-    (Cmd.info "lint"
-       ~doc:
-         "Statically analyze a circuit: structural well-formedness (cycles, \
-          undriven and multiply-driven signals, dead cones, provable constants), \
-          STA consistency, and optionally the masking contract")
-    Term.(
-      const lint_run $ obs_term $ circuit_arg $ fail_on_arg $ json_arg $ contract_arg
-      $ theta_arg $ jobs_arg)
-
-let spcf_run obs spec theta algo jobs bflags =
-  guarded @@ fun () ->
-  with_obs obs "spcf" @@ fun () ->
-  let algorithm =
-    match algo with
-    | `Short -> Spcf.Governed.Short_path
-    | `Path -> Spcf.Governed.Path_based
-    | `Node -> Spcf.Governed.Node_based
-  in
-  let buf = Buffer.create 1024 in
-  let (_ : int) =
-    Serve_jobs.run_spcf ~note:(cli_note ()) buf Serve_jobs.load_entry
-      (cli_circuit spec)
-      { Serve_jobs.s_theta = theta; s_algorithm = algorithm; s_jobs = resolve_jobs jobs }
-      (resolve_budget bflags)
-  in
-  print_string (Buffer.contents buf)
-
-let spcf_cmd =
-  Cmd.v
-    (Cmd.info "spcf" ~doc:"Compute the speed-path characteristic function")
-    Term.(
-      const spcf_run $ obs_term $ circuit_arg $ theta_arg $ algorithm_arg $ jobs_arg
-      $ budget_term)
-
-let protect_run obs spec theta jobs prune out bflags =
-  guarded @@ fun () ->
-  with_obs obs "protect" @@ fun () ->
-  let buf = Buffer.create 1024 in
-  let (_ : int) =
-    Serve_jobs.run_protect ~note:(cli_note ()) ?out buf Serve_jobs.load_entry
-      (cli_circuit spec)
-      { Serve_jobs.m_theta = theta; m_jobs = resolve_jobs jobs; m_prune = prune }
-      (resolve_budget bflags)
-  in
-  print_string (Buffer.contents buf)
-
-let out_arg =
-  let doc = "Write the combined (protected) circuit as BLIF to $(docv)." in
-  Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc)
-
-let prune_arg =
-  let doc =
-    "Drop a critical output from the masking cover when every near-critical path \
-     to it is provably false and its SPCF is empty (see $(b,emask paths)); the \
-     indicator shrinks, the soundness interval is preserved and re-verified."
-  in
-  Arg.(value & flag & info [ "prune-false-paths" ] ~doc)
-
-let protect_cmd =
-  Cmd.v
-    (Cmd.info "protect" ~doc:"Synthesize and verify an error-masking circuit")
-    Term.(
-      const protect_run $ obs_term $ circuit_arg $ theta_arg $ jobs_arg $ prune_arg
-      $ out_arg $ budget_term)
-
-(* --- paths: sensitization analysis of the near-critical band ------------ *)
-
-(* Same converter discipline as --theta/--jobs: a band of 0 classifies
-   nothing and one above 1 silently clamps, so both are argument errors
-   (one-line diagnostic, exit 2), not silent near-no-ops. *)
-let band_conv =
-  let parse s =
-    match float_of_string_opt s with
-    | Some v when v > 0. && v <= 1. -> Ok v
-    | Some _ | None ->
-      Error (`Msg (Printf.sprintf "BAND must lie in (0, 1], got %S" s))
-  in
-  Arg.conv (parse, fun ppf v -> Format.fprintf ppf "%g" v)
-
-let band_arg =
-  let doc =
-    "Near-critical band: classify every structural path longer than \
-     (1-BAND) * Delta."
-  in
-  Arg.(value & opt band_conv 0.1 & info [ "band" ] ~docv:"F" ~doc)
-
-let max_paths_arg =
-  let doc = "Stop enumerating after $(docv) paths (the report is marked truncated)." in
-  Arg.(
-    value
-    & opt (pos_int_conv "--max-paths") 4096
-    & info [ "max-paths" ] ~docv:"N" ~doc)
-
-let paths_run obs spec band max_paths jobs json fail_on bflags =
-  let code =
-    guarded @@ fun () ->
-    with_obs obs "paths" @@ fun () ->
-    let buf = Buffer.create 1024 in
-    let code =
-      Serve_jobs.run_paths ~note:(cli_note ()) buf Serve_jobs.load_entry
-        (cli_circuit spec)
-        {
-          Serve_jobs.p_band = band;
-          p_max_paths = max_paths;
-          p_jobs = resolve_jobs jobs;
-          p_json = json;
-          p_fail_on = fail_on;
-        }
-        (resolve_budget bflags)
-    in
-    print_string (Buffer.contents buf);
-    code
-  in
-  if code <> 0 then exit code
-
-let paths_cmd =
-  Cmd.v
-    (Cmd.info "paths"
-       ~doc:
-         "Enumerate the near-critical structural paths and classify each as true \
-          (sensitizable, with a SAT witness pattern), false (no input pattern \
-          sensitizes it) or unknown (budget exhausted); reports the tightened \
-          functional delay bound per output")
-    Term.(
-      const paths_run $ obs_term $ circuit_arg $ band_arg $ max_paths_arg $ jobs_arg
-      $ json_arg $ fail_on_arg $ budget_term)
-
-let wearout_run obs spec trials bflags =
-  guarded @@ fun () ->
+let wearout_run obs spec trials budget =
   with_obs obs "wearout" @@ fun () ->
   let net = load_circuit spec in
   note_circuit spec net;
-  let options =
-    { Masking.Synthesis.default_options with budget = resolve_budget bflags }
-  in
+  let options = { Masking.Synthesis.default_options with budget } in
   let m = Masking.Synthesis.synthesize ~options net in
   if Obs_ledger.enabled () then
     Obs_ledger.note "tier"
@@ -423,16 +282,15 @@ let wearout_run obs spec trials bflags =
   List.iter (fun s -> Format.printf "%a@." Masking.Monitor.pp_sample s) samples
 
 let trials_arg =
-  let doc = "Random input transitions per aging factor." in
-  Arg.(value & opt int 400 & info [ "trials" ] ~docv:"N" ~doc)
+  Cli.count ~flags:[ "trials" ] ~docv:"N"
+    ~doc:"Random input transitions per aging factor." 400
 
 let wearout_cmd =
   Cmd.v
     (Cmd.info "wearout" ~doc:"Aging sweep: raw vs masked vs logged error rates")
-    Term.(const wearout_run $ obs_term $ circuit_arg $ trials_arg $ budget_term)
+    Term.(const wearout_run $ obs_term $ circuit_arg $ trials_arg $ Cli.budget)
 
 let trace_run obs spec buffer cycles =
-  guarded @@ fun () ->
   with_obs obs "trace" @@ fun () ->
   let net = load_circuit spec in
   note_circuit spec net;
@@ -444,84 +302,14 @@ let trace_run obs spec buffer cycles =
   Format.printf "%a@." Masking.Trace_buffer.pp r
 
 let buffer_arg =
-  Arg.(value & opt int 64 & info [ "buffer" ] ~docv:"ENTRIES" ~doc:"Trace buffer size.")
+  Cli.count ~flags:[ "buffer" ] ~docv:"ENTRIES" ~doc:"Trace buffer size." 64
 
-let cycles_arg =
-  Arg.(value & opt int 100000 & info [ "cycles" ] ~docv:"N" ~doc:"Cycles to simulate.")
+let cycles_arg = Cli.count ~flags:[ "cycles" ] ~docv:"N" ~doc:"Cycles to simulate." 100000
 
 let trace_cmd =
   Cmd.v
     (Cmd.info "trace" ~doc:"Trace-buffer window expansion via selective capture")
     Term.(const trace_run $ obs_term $ circuit_arg $ buffer_arg $ cycles_arg)
-
-(* --- eco: incremental recompute after an engineering change order ------- *)
-
-let edits_arg =
-  let doc =
-    "Edit-sequence file, one edit per line: $(b,replace), $(b,rewire), $(b,add), \
-     $(b,remove), $(b,add-output), $(b,drop-output); blank lines and $(b,#) \
-     comments are skipped. Fuzz $(b,.eco) repro files use this format."
-  in
-  Arg.(required & opt (some string) None & info [ "edits" ] ~docv:"FILE" ~doc)
-
-let eco_band_arg =
-  let doc =
-    "Also carry sensitization verdicts for the near-critical band (same semantics \
-     as $(b,emask paths --band)); verdicts on paths through clean outputs are \
-     reused from the baseline."
-  in
-  Arg.(value & opt (some band_conv) None & info [ "band" ] ~docv:"F" ~doc)
-
-let check_arg =
-  let doc =
-    "Cross-check the incremental result against a full from-scratch analysis of \
-     the edited design: the canonical forms must be byte-identical (exit 1 \
-     otherwise). This is the $(b,eco-equal) oracle on the given edit sequence."
-  in
-  Arg.(value & flag & info [ "check" ] ~doc)
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let eco_run obs spec edits_file theta band jobs json check bflags =
-  let code =
-    guarded @@ fun () ->
-    with_obs obs "eco" @@ fun () ->
-    let buf = Buffer.create 1024 in
-    let code =
-      Serve_jobs.run_eco ~note:(cli_note ()) buf Serve_jobs.load_entry
-        (cli_circuit spec)
-        {
-          Serve_jobs.c_edits_name = edits_file;
-          c_edits = read_file edits_file;
-          c_theta = theta;
-          c_band = band;
-          c_jobs = resolve_jobs jobs;
-          c_json = json;
-          c_check = check;
-        }
-        (resolve_budget bflags)
-    in
-    print_string (Buffer.contents buf);
-    code
-  in
-  if code <> 0 then exit code
-
-let eco_cmd =
-  Cmd.v
-    (Cmd.info "eco"
-       ~doc:
-         "Apply an engineering-change-order edit sequence and incrementally \
-          re-derive the timing-error-masking analysis: only the dirty \
-          transitive-fanout cone is recomputed; node functions, per-output SPCFs, \
-          masking covers and sensitization verdicts outside the cone are reused \
-          from the baseline snapshot")
-    Term.(
-      const eco_run $ obs_term $ circuit_arg $ edits_arg $ theta_arg $ eco_band_arg
-      $ jobs_arg $ json_arg $ check_arg $ budget_term)
 
 (* --- fuzz --------------------------------------------------------------- *)
 
@@ -533,15 +321,25 @@ let seed_arg =
   Arg.(value & opt int 0 & info [ "seed" ] ~docv:"N" ~doc)
 
 let count_arg =
-  let doc = "Number of random specimens to generate." in
-  Arg.(value & opt int 100 & info [ "count"; "n" ] ~docv:"N" ~doc)
+  Cli.count ~flags:[ "count"; "n" ] ~docv:"N"
+    ~doc:"Number of random specimens to generate." 100
 
-let time_budget_arg =
-  let doc = "Deprecated alias for $(b,--timeout)." in
-  Arg.(
-    value
-    & opt (some (pos_float_conv "--time-budget")) None
-    & info [ "time-budget" ] ~docv:"S" ~doc)
+(* --time-budget is a deprecated alias that yields to --timeout. *)
+let fuzz_budget =
+  let time_budget =
+    Cli.opt_arg
+      {
+        Serve_opts.timeout with
+        flags = [ "time-budget" ];
+        docv = "S";
+        doc = "Deprecated alias for $(b,--timeout).";
+      }
+  in
+  Cli.budget_with
+    Term.(
+      const (fun timeout time_budget ->
+          match timeout with Some _ -> timeout | None -> time_budget)
+      $ Cli.opt_arg Serve_opts.timeout $ time_budget)
 
 let oracle_arg =
   let doc =
@@ -561,9 +359,8 @@ let fuzz_out_arg =
   let doc = "Directory for shrunken repro .blif files (created if missing)." in
   Arg.(value & opt string "." & info [ "out" ] ~docv:"DIR" ~doc)
 
-let fuzz_run obs seed count time_budget oracle shrink out bflags =
+let fuzz_run obs seed count oracle shrink out budget =
   let code =
-    guarded @@ fun () ->
     with_obs obs "fuzz" @@ fun () ->
     let oracles =
       match oracle with
@@ -577,11 +374,6 @@ let fuzz_run obs seed count time_budget oracle shrink out bflags =
           exit 2)
     in
     if not (Sys.file_exists out) then Sys.mkdir out 0o755;
-    let budget =
-      let timeout, max_nodes = bflags in
-      let timeout = match timeout with Some _ -> timeout | None -> time_budget in
-      resolve_budget (timeout, max_nodes)
-    in
     let config =
       {
         Fuzz.Driver.default_config with
@@ -618,8 +410,8 @@ let fuzz_cmd =
           static timing bounds, the masking synthesis and the BLIF round-trip; \
           failures are shrunk to minimal repro netlists")
     Term.(
-      const fuzz_run $ obs_term $ seed_arg $ count_arg $ time_budget_arg $ oracle_arg
-      $ shrink_arg $ fuzz_out_arg $ budget_term)
+      const fuzz_run $ obs_term $ seed_arg $ count_arg $ oracle_arg $ shrink_arg
+      $ fuzz_out_arg $ fuzz_budget)
 
 (* --- report: diff run-ledger trajectories ------------------------------- *)
 
@@ -757,20 +549,19 @@ let compare_against_baselines ~baselines records =
     Printf.printf "  (no ledger bench records match the baseline cases)\n"
 
 let report_run ledger againsts last =
-  guarded @@ fun () ->
   let path =
     match (ledger, Obs_ledger.path ()) with
     | Some p, _ -> p
     | None, Some p -> p
     | None, None ->
-      cli_error "LEDGER001"
+      Cli.cli_error "emask" "LEDGER001"
         (Printf.sprintf "no ledger: pass --ledger FILE or set %s"
            Obs_ledger.env_var)
   in
   let records =
     match Obs_ledger.read_file path with
     | Ok rs -> rs
-    | Error e -> cli_error "LEDGER002" e
+    | Error e -> Cli.cli_error "emask" "LEDGER002" e
   in
   let records =
     (* Most recent N, in chronological order. *)
@@ -821,8 +612,8 @@ let against_arg =
    report on nothing, so it is an argument error, not an empty
    report. *)
 let last_arg =
-  let doc = "Only consider the most recent $(docv) ledger records." in
-  Arg.(value & opt (pos_int_conv "--last") 50 & info [ "last" ] ~docv:"N" ~doc)
+  Cli.count ~flags:[ "last" ] ~docv:"N"
+    ~doc:"Only consider the most recent $(docv) ledger records." 50
 
 let report_cmd =
   Cmd.v
@@ -854,18 +645,18 @@ let socket_arg =
   Arg.(value & opt (some string) None & info [ "socket" ] ~docv:"PATH" ~doc)
 
 let queue_arg =
-  let doc =
-    "Admission-queue bound: a request arriving with $(docv) jobs already queued \
-     is rejected immediately with a QUEUE001 diagnostic, never parked."
-  in
-  Arg.(value & opt (pos_int_conv "--queue") 16 & info [ "queue" ] ~docv:"N" ~doc)
+  Cli.count ~flags:[ "queue" ] ~docv:"N"
+    ~doc:
+      "Admission-queue bound: a request arriving with $(docv) jobs already queued is \
+       rejected immediately with a QUEUE001 diagnostic, never parked."
+    16
 
 let cache_mb_arg =
-  let doc =
-    "Approximate capacity of the parsed/mapped circuit LRU in MiB (eco baseline \
-     snapshots are cached per circuit, theta and band)."
-  in
-  Arg.(value & opt (pos_int_conv "--cache-mb") 256 & info [ "cache-mb" ] ~docv:"MIB" ~doc)
+  Cli.count ~flags:[ "cache-mb" ] ~docv:"MIB"
+    ~doc:
+      "Approximate capacity of the parsed/mapped circuit LRU in MiB (eco baseline \
+       snapshots are cached per circuit, theta and band)."
+    256
 
 let serve_ledger_arg =
   let doc =
@@ -877,22 +668,23 @@ let serve_ledger_arg =
   Arg.(value & opt (some string) None & info [ "ledger" ] ~docv:"FILE" ~doc)
 
 let read_timeout_arg =
-  let doc =
-    "Per-connection request-read deadline in seconds (SO_RCVTIMEO): a client \
-     that connects but never finishes its request is dropped after $(docv) \
-     instead of blocking admission."
-  in
-  Arg.(
-    value
-    & opt (pos_float_conv "--read-timeout") 10.
-    & info [ "read-timeout" ] ~docv:"SECONDS" ~doc)
+  Cli.arg
+    {
+      Serve_opts.timeout with
+      flags = [ "read-timeout" ];
+      docv = "SECONDS";
+      doc =
+        "Per-connection request-read deadline in seconds (SO_RCVTIMEO): a client that \
+         connects but never finishes its request is dropped after $(docv) instead of \
+         blocking admission.";
+      default = Some 10.;
+    }
 
 let verbose_arg =
   let doc = "Log lifecycle events to stderr." in
   Arg.(value & flag & info [ "verbose" ] ~doc)
 
-let serve_run port socket jobs queue cache_mb ledger read_timeout verbose bflags =
-  guarded @@ fun () ->
+let serve_run port socket jobs queue cache_mb ledger read_timeout verbose budget =
   let bind =
     match socket with
     | Some path -> Serve.Unix_sock path
@@ -901,10 +693,10 @@ let serve_run port socket jobs queue cache_mb ledger read_timeout verbose bflags
   let config =
     {
       Serve.bind;
-      jobs = resolve_jobs jobs;
+      jobs;
       queue_cap = queue;
       cache_mb;
-      default_budget = resolve_budget bflags;
+      default_budget = budget;
       ledger = (match ledger with Some _ -> ledger | None -> Obs_ledger.path ());
       read_timeout;
       verbose;
@@ -927,150 +719,78 @@ let serve_cmd =
           Prometheus /metrics endpoint; responses are byte-identical to the \
           one-shot CLI")
     Term.(
-      const serve_run $ port_arg $ socket_arg $ jobs_arg $ queue_arg $ cache_mb_arg
-      $ serve_ledger_arg $ read_timeout_arg $ verbose_arg $ budget_term)
+      const serve_run $ port_arg $ socket_arg $ Cli.jobs $ queue_arg $ cache_mb_arg
+      $ serve_ledger_arg $ read_timeout_arg $ verbose_arg $ Cli.budget)
 
 (* --- client -------------------------------------------------------------- *)
-
-let job_arg =
-  let doc =
-    "Job to run: $(b,lint), $(b,spcf), $(b,paths), $(b,protect), $(b,eco), \
-     $(b,ping), $(b,metrics) or $(b,shutdown)."
-  in
-  let job_conv =
-    Arg.enum
-      [
-        ("lint", `Lint); ("spcf", `Spcf); ("paths", `Paths); ("protect", `Protect);
-        ("eco", `Eco); ("ping", `Ping); ("metrics", `Metrics);
-        ("shutdown", `Shutdown);
-      ]
-  in
-  Arg.(required & pos 0 (some job_conv) None & info [] ~docv:"JOB" ~doc)
-
-let client_circuit_arg =
-  let doc = "Benchmark name or path to a BLIF file (shipped inline)." in
-  Arg.(value & pos 1 (some string) None & info [] ~docv:"CIRCUIT" ~doc)
 
 let host_arg =
   let doc = "Daemon host." in
   Arg.(value & opt string "127.0.0.1" & info [ "host" ] ~docv:"HOST" ~doc)
 
-let client_edits_arg =
-  let doc = "Edit-sequence file for $(b,eco) jobs (read locally, shipped inline)." in
-  Arg.(value & opt (some string) None & info [ "edits" ] ~docv:"FILE" ~doc)
+let endpoint =
+  Term.(
+    const (fun socket host port ->
+        match socket with
+        | Some path -> Serve_client.Unix_sock path
+        | None -> Serve_client.Tcp (host, port))
+    $ socket_arg $ host_arg $ port_arg)
 
-let client_band_arg =
-  let doc = "Near-critical band for $(b,paths) / $(b,eco) jobs." in
-  Arg.(value & opt (some band_conv) None & info [ "band" ] ~docv:"F" ~doc)
-
-let delay_arg =
-  let doc = "Seconds a $(b,ping) job holds a worker (a test/diagnostic aid)." in
-  Arg.(value & opt float 0. & info [ "delay" ] ~docv:"SEC" ~doc)
-
-let client_run socket host port job spec theta algo band max_paths jobs json
-    contract fail_on prune edits check delay bflags =
-  guarded @@ fun () ->
-  let endpoint =
-    match socket with
-    | Some path -> Serve_client.Unix_sock path
-    | None -> Serve_client.Tcp (host, port)
-  in
-  let circuit () =
-    match spec with
-    | Some sp -> Serve_client.circuit_of_spec sp
-    | None -> cli_error "CLI001" "this job needs a CIRCUIT argument"
-  in
-  let jobs = resolve_jobs jobs in
-  let bspec = resolve_budget bflags in
-  let req =
-    match job with
-    | `Lint ->
-      Serve_protocol.Lint
-        ( circuit (),
-          {
-            Serve_jobs.l_fail_on = fail_on;
-            l_json = json;
-            l_contract = contract;
-            l_theta = theta;
-            l_jobs = jobs;
-          } )
-    | `Spcf ->
-      let algorithm =
-        match algo with
-        | `Short -> Spcf.Governed.Short_path
-        | `Path -> Spcf.Governed.Path_based
-        | `Node -> Spcf.Governed.Node_based
-      in
-      Serve_protocol.Spcf
-        ( circuit (),
-          { Serve_jobs.s_theta = theta; s_algorithm = algorithm; s_jobs = jobs },
-          bspec )
-    | `Paths ->
-      Serve_protocol.Paths
-        ( circuit (),
-          {
-            Serve_jobs.p_band = Option.value ~default:0.1 band;
-            p_max_paths = max_paths;
-            p_jobs = jobs;
-            p_json = json;
-            p_fail_on = fail_on;
-          },
-          bspec )
-    | `Protect ->
-      Serve_protocol.Protect
-        ( circuit (),
-          { Serve_jobs.m_theta = theta; m_jobs = jobs; m_prune = prune },
-          bspec )
-    | `Eco ->
-      let edits_file =
-        match edits with
-        | Some path -> path
-        | None -> cli_error "CLI001" "eco jobs need --edits FILE"
-      in
-      Serve_protocol.Eco
-        ( circuit (),
-          {
-            Serve_jobs.c_edits_name = edits_file;
-            c_edits = read_file edits_file;
-            c_theta = theta;
-            c_band = band;
-            c_jobs = jobs;
-            c_json = json;
-            c_check = check;
-          },
-          bspec )
-    | `Ping -> Serve_protocol.Ping delay
-    | `Metrics -> Serve_protocol.Metrics
-    | `Shutdown -> Serve_protocol.Shutdown
-  in
+let client_run endpoint req =
   match Serve_client.roundtrip endpoint req with
   | Serve_protocol.Ok_output (code, output) ->
     print_string output;
     if code <> 0 then exit code
   | Serve_protocol.Rejected (code, msg) | Serve_protocol.Error_resp (code, msg) ->
-    cli_error code msg
+    Cli.cli_error "emask" code msg
+
+let client_job (name, doc) req =
+  Cmd.v (Cmd.info name ~doc) Term.(const client_run $ endpoint $ req)
+
+let delay_arg =
+  let doc = "Seconds the job holds a worker (a test/diagnostic aid)." in
+  Arg.(value & opt float 0. & info [ "delay" ] ~docv:"SEC" ~doc)
 
 let client_cmd =
-  Cmd.v
+  Cmd.group
     (Cmd.info "client"
        ~doc:
-         "Run one job against a running $(b,emask serve) daemon; output and exit \
-          code match the equivalent one-shot invocation")
-    Term.(
-      const client_run $ socket_arg $ host_arg $ port_arg $ job_arg
-      $ client_circuit_arg $ theta_arg $ algorithm_arg $ client_band_arg
-      $ max_paths_arg $ jobs_arg $ json_arg $ contract_arg $ fail_on_arg $ prune_arg
-      $ client_edits_arg $ check_arg $ delay_arg $ budget_term)
+         "Run one job against a running $(b,emask serve) daemon; each job accepts \
+          the flags of its one-shot subcommand, and output and exit code match the \
+          equivalent one-shot invocation")
+    [
+      client_job lint_info lint_term;
+      client_job spcf_info spcf_term;
+      client_job paths_info paths_term;
+      client_job protect_info protect_term;
+      client_job eco_info eco_term;
+      client_job
+        ("ping", "Check that the daemon answers")
+        Term.(const (fun d -> Serve_protocol.Ping d) $ delay_arg);
+      client_job
+        ("metrics", "Print the daemon's Prometheus exposition")
+        (Term.const Serve_protocol.Metrics);
+      client_job
+        ("shutdown", "Stop the daemon after draining its workers")
+        (Term.const Serve_protocol.Shutdown);
+    ]
 
 let () =
-  let info =
-    Cmd.info "emask" ~version:"1.0.0"
-      ~doc:"Masking timing errors on speed-paths in logic circuits (DATE 2009)"
-  in
-  exit
-    (Cmd.eval
-       (Cmd.group info
-          [
-            list_cmd; lint_cmd; spcf_cmd; paths_cmd; protect_cmd; eco_cmd;
-            wearout_cmd; trace_cmd; fuzz_cmd; report_cmd; serve_cmd; client_cmd;
-          ]))
+  Cli.main
+    (Cmd.group
+       (Cmd.info "emask" ~version:"1.0.0"
+          ~doc:"Masking timing errors on speed-paths in logic circuits (DATE 2009)")
+       [
+         list_cmd;
+         one_shot lint_info lint_term;
+         one_shot spcf_info spcf_term;
+         one_shot paths_info paths_term;
+         one_shot protect_info ~out:out_arg protect_term;
+         one_shot eco_info eco_term;
+         wearout_cmd;
+         trace_cmd;
+         fuzz_cmd;
+         report_cmd;
+         serve_cmd;
+         client_cmd;
+       ])

@@ -15,21 +15,7 @@
    the trace buffer. *)
 
 let line = String.make 118 '-'
-
-(* The CLI exception boundary (shared policy with emask): bad input
-   produces a one-line diagnostic and exit 2, never a raw backtrace. *)
-let cli_error code msg =
-  Printf.eprintf "table1: error %s: %s\n%!" code msg;
-  exit 2
-
-let guarded f =
-  try f () with
-  | Blif.Parse_error msg -> cli_error "BLIF001" msg
-  | Sys_error msg -> cli_error "IO001" msg
-  | Failure msg -> cli_error "CLI001" msg
-  | Invalid_argument msg -> cli_error "CLI002" msg
-  | Budget.Budget_exceeded r ->
-    cli_error "BUDGET001" ("resource budget exhausted: " ^ Budget.reason_to_string r)
+let theta = Masking.Synthesis.default_options.theta
 
 type row = {
   name : string;
@@ -73,7 +59,7 @@ let run_row ~collect ~jobs ~spec entry =
           | `Path -> Spcf.Governed.Path_based
           | `Short -> Spcf.Governed.Short_path
         in
-        Spcf.Governed.compute ~jobs ~spec ~algorithm ~theta:0.9 mc)
+        Spcf.Governed.compute ~jobs ~spec ~algorithm ~theta mc)
   in
   let on, stats_n = run `Node in
   let op, stats_p = run `Path in
@@ -103,7 +89,7 @@ let run_row ~collect ~jobs ~spec entry =
     else begin
       let mc' = Mapper.map net in
       let ctx = Spcf.Ctx.create mc' in
-      let target = Spcf.Ctx.target_of_theta ctx 0.9 in
+      let target = Spcf.Ctx.target_of_theta ctx theta in
       let a = Spcf.Node_based.compute ctx ~target in
       let b = Spcf.Exact.path_based ctx ~target in
       let c = Spcf.Exact.short_path ctx ~target in
@@ -138,75 +124,13 @@ let run_row ~collect ~jobs ~spec entry =
     },
     stats )
 
-let flag_value flag =
-  let rec scan i =
-    if i >= Array.length Sys.argv then None
-    else if Sys.argv.(i) = flag && i + 1 < Array.length Sys.argv then
-      Some Sys.argv.(i + 1)
-    else scan (i + 1)
-  in
-  scan 1
-
-let stats_json_path () = flag_value "--stats-json"
-let trace_path () = flag_value "--trace"
-
-(* `--jobs N` (default: EMASK_JOBS, else the
-   recommended domain count capped at 8) fans the short-path and
-   path-based SPCF computations out over N domains; counts are
-   unaffected (see Spcf.Parallel), only runtimes change. A malformed
-   or non-positive N is an argument error, not a silent fallback. *)
-let jobs_arg () =
-  let rec scan i =
-    if i >= Array.length Sys.argv then Spcf.Parallel.auto_jobs ()
-    else if Sys.argv.(i) = "--jobs" && i + 1 < Array.length Sys.argv then
-      match int_of_string_opt Sys.argv.(i + 1) with
-      | Some n when n >= 1 -> n
-      | _ ->
-        cli_error "CLI002"
-          (Printf.sprintf "--jobs must be a positive integer, got %S" Sys.argv.(i + 1))
-    else scan (i + 1)
-  in
-  scan 1
-
-(* `--timeout SEC` / `--max-nodes N` (flags win over the EMASK_BUDGET
-   environment variables): each per-algorithm run degrades down the
-   governed ladder instead of running away; degraded counts are starred
-   and named in the checks column. With neither flag the table is
-   byte-identical to the ungoverned run. *)
-let budget_spec () =
-  let scan_opt flag parse what =
-    let rec scan i =
-      if i >= Array.length Sys.argv then None
-      else if Sys.argv.(i) = flag && i + 1 < Array.length Sys.argv then
-        match parse Sys.argv.(i + 1) with
-        | Some _ as v -> v
-        | None ->
-          cli_error "CLI002"
-            (Printf.sprintf "%s must be %s, got %S" flag what Sys.argv.(i + 1))
-      else scan (i + 1)
-    in
-    scan 1
-  in
-  let pos_float s =
-    match float_of_string_opt s with
-    | Some v when v > 0. && v < infinity -> Some v
-    | _ -> None
-  in
-  let pos_int s =
-    match int_of_string_opt s with Some n when n >= 1 -> Some n | _ -> None
-  in
-  let timeout = scan_opt "--timeout" pos_float "a positive number" in
-  let max_nodes = scan_opt "--max-nodes" pos_int "a positive integer" in
-  Budget.merge
-    { Budget.timeout; max_nodes; max_ops = None; cancel_with = None }
-    (Budget.of_env ())
-
-let () =
-  guarded @@ fun () ->
-  let sidecar = stats_json_path () in
-  let trace = trace_path () in
-  let jobs = jobs_arg () in
-  let spec = budget_spec () in
+(* --jobs fans the short-path and path-based SPCF computations out over
+   N domains; counts are unaffected (see Spcf.Parallel), only runtimes
+   change. --timeout / --max-nodes make each per-algorithm run degrade
+   down the governed ladder instead of running away; degraded counts are
+   starred and named in the checks column, and with neither flag the
+   table is byte-identical to the ungoverned run. *)
+let run sidecar trace jobs spec =
   if sidecar <> None then Obs.set_enabled true;
   if trace <> None then begin
     Obs.set_enabled true;
@@ -216,7 +140,10 @@ let () =
      sidecar's attribution; a plain --trace or EMASK_OBS run keeps one
      registry so the timeline survives to the end. *)
   let collect = sidecar <> None in
-  Printf.printf "Table 1: accuracy vs. runtime of SPCF computation (target = 0.9 x critical path delay)\n";
+  Printf.printf
+    "Table 1: accuracy vs. runtime of SPCF computation (target = %g x critical path \
+     delay)\n"
+    theta;
   Printf.printf "%s\n" line;
   Printf.printf "%-18s %-9s %-7s | %-12s %-8s | %-12s %-8s | %-12s %-8s | %s\n"
     "Circuit" "I/O" "Area" "node-based" "rt (s)" "path-based" "rt (s)"
@@ -263,3 +190,10 @@ let () =
     output_char oc '\n';
     close_out oc;
     Printf.printf "per-algorithm stats written to %s\n" path
+
+let () =
+  let open Cmdliner in
+  Cli.main
+    (Cmd.v
+       (Cmd.info "table1" ~doc:"Regenerate the paper's Table 1 (SPCF accuracy vs. runtime)")
+       Term.(const run $ Cli.stats_json $ Cli.trace $ Cli.jobs $ Cli.budget))

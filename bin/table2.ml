@@ -4,95 +4,17 @@
 
 let line = String.make 112 '-'
 
-(* The CLI exception boundary (shared policy with emask): bad input
-   produces a one-line diagnostic and exit 2, never a raw backtrace. *)
-let cli_error code msg =
-  Printf.eprintf "table2: error %s: %s\n%!" code msg;
-  exit 2
-
-let guarded f =
-  try f () with
-  | Blif.Parse_error msg -> cli_error "BLIF001" msg
-  | Sys_error msg -> cli_error "IO001" msg
-  | Failure msg -> cli_error "CLI001" msg
-  | Invalid_argument msg -> cli_error "CLI002" msg
-  | Budget.Budget_exceeded r ->
-    cli_error "BUDGET001" ("resource budget exhausted: " ^ Budget.reason_to_string r)
-
 (* `--stats-json FILE` writes a per-circuit JSON sidecar of the
    synthesis/verification internals (spans, counters, histograms).
    `--trace FILE` writes a Chrome/Perfetto timeline of the whole suite
    run; combining both truncates the timeline, because the sidecar's
-   per-circuit registry resets also clear the trace buffer. *)
-let flag_value flag =
-  let rec scan i =
-    if i >= Array.length Sys.argv then None
-    else if Sys.argv.(i) = flag && i + 1 < Array.length Sys.argv then
-      Some Sys.argv.(i + 1)
-    else scan (i + 1)
-  in
-  scan 1
-
-let stats_json_path () = flag_value "--stats-json"
-let trace_path () = flag_value "--trace"
-
-(* `--jobs N` (default: EMASK_JOBS, else the
-   recommended domain count capped at 8) fans the SPCF stage of each
-   synthesis out over N domains. The printed table is byte-identical for
-   every N: the parallel driver merges function-identical BDDs in
-   deterministic output order. *)
-let jobs_arg () =
-  let rec scan i =
-    if i >= Array.length Sys.argv then Spcf.Parallel.auto_jobs ()
-    else if Sys.argv.(i) = "--jobs" && i + 1 < Array.length Sys.argv then
-      match int_of_string_opt Sys.argv.(i + 1) with
-      | Some n when n >= 1 -> n
-      | _ ->
-        cli_error "CLI002"
-          (Printf.sprintf "--jobs must be a positive integer, got %S" Sys.argv.(i + 1))
-    else scan (i + 1)
-  in
-  scan 1
-
-(* `--timeout SEC` / `--max-nodes N` (flags win over the EMASK_BUDGET
-   environment variables): each synthesis degrades down the governed
-   ladder (exact, node-based, always-on) instead of running away;
-   degraded circuits are named in a note after the table. Without budget
-   flags the table is byte-identical to the ungoverned run. *)
-let budget_spec () =
-  let scan_opt flag parse what =
-    let rec scan i =
-      if i >= Array.length Sys.argv then None
-      else if Sys.argv.(i) = flag && i + 1 < Array.length Sys.argv then
-        match parse Sys.argv.(i + 1) with
-        | Some _ as v -> v
-        | None ->
-          cli_error "CLI002"
-            (Printf.sprintf "%s must be %s, got %S" flag what Sys.argv.(i + 1))
-      else scan (i + 1)
-    in
-    scan 1
-  in
-  let pos_float s =
-    match float_of_string_opt s with
-    | Some v when v > 0. && v < infinity -> Some v
-    | _ -> None
-  in
-  let pos_int s =
-    match int_of_string_opt s with Some n when n >= 1 -> Some n | _ -> None
-  in
-  let timeout = scan_opt "--timeout" pos_float "a positive number" in
-  let max_nodes = scan_opt "--max-nodes" pos_int "a positive integer" in
-  Budget.merge
-    { Budget.timeout; max_nodes; max_ops = None; cancel_with = None }
-    (Budget.of_env ())
-
-let () =
-  guarded @@ fun () ->
-  let sidecar = stats_json_path () in
-  let trace = trace_path () in
-  let jobs = jobs_arg () in
-  let budget = budget_spec () in
+   per-circuit registry resets also clear the trace buffer. `--jobs N`
+   fans the SPCF stage of each synthesis out over N domains; the table
+   is byte-identical for every N. `--timeout SEC` / `--max-nodes N`
+   make each synthesis degrade down the governed ladder (exact,
+   node-based, always-on) instead of running away; degraded circuits
+   are named in a note after the table. *)
+let run sidecar trace jobs budget =
   if sidecar <> None then Obs.set_enabled true;
   if trace <> None then begin
     Obs.set_enabled true;
@@ -172,3 +94,10 @@ let () =
     output_char oc '\n';
     close_out oc;
     Printf.printf "per-circuit stats written to %s\n" path
+
+let () =
+  let open Cmdliner in
+  Cli.main
+    (Cmd.v
+       (Cmd.info "table2" ~doc:"Regenerate the paper's Table 2 (masking area and power overhead)")
+       Term.(const run $ Cli.stats_json $ Cli.trace $ Cli.jobs $ Cli.budget))

@@ -50,7 +50,7 @@ let sanitize msg =
    and unbounded, so the header pins what the run actually saw. *)
 let env_header () =
   [ "EMASK_JOBS"; "EMASK_BUDGET_TIMEOUT"; "EMASK_BUDGET_MAX_NODES";
-    "EMASK_BUDGET_MAX_OPS"; "EMASK_OBS"; "EMASK_FUZZ_SHARED" ]
+    "EMASK_BUDGET_MAX_OPS"; "EMASK_OBS" ]
   |> List.map (fun v ->
          Printf.sprintf "%s=%s" v
            (match Sys.getenv_opt v with

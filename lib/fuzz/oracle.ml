@@ -20,31 +20,25 @@ let too_large net = Network.num_nodes net > 80 || Array.length (Network.inputs n
 
 (* ---------- spcf-equal ---------- *)
 
-(* The Table-1 invariant: short-path ≡ path-based ≡ parallel(jobs=2),
-   node-based ⊇ exact, at a routine and a near-zero-slack target. All
-   four results live in the same BDD manager, so "identical function"
-   is handle equality and containment is one band/bnot. *)
+(* The Table-1 invariant: short-path ≡ path-based ≡ parallel short-path
+   at jobs=4, node-based ⊇ exact, at a routine and a near-zero-slack
+   target. The sequential results live in one BDD manager, so
+   "identical function" is handle equality and containment is one
+   band/bnot. The parallel run uses the concurrent shared-manager
+   backend, a different manager, so it is compared by the canonical
+   exported DAG (postorder over the ROBDD), which must be byte-identical
+   to the sequential one. *)
 let spcf_equal ~rng:_ ~budget net =
   if too_large net then Skip "too large for SPCF cross-check"
   else begin
     let mc = Mapper.map net in
     let ctx = Spcf.Ctx.create ~budget mc in
     let man = ctx.Spcf.Ctx.man in
-    (* EMASK_FUZZ_SHARED=1 adds a fifth implementation to the
-       cross-check: short-path at jobs=4 over the concurrent
-       shared-manager backend. Its Σs live in a different manager, so
-       the comparison is the canonical exported DAG (postorder over the
-       ROBDD), which must be byte-identical to the sequential one. *)
-    let shared_ctx =
-      match Sys.getenv_opt "EMASK_FUZZ_SHARED" with
-      | None | Some "" | Some "0" -> None
-      | Some _ -> Some (Spcf.Ctx.create ~budget ~shared:true mc)
-    in
+    let sctx = Spcf.Ctx.create ~budget ~shared:true mc in
     let check_theta theta =
       let target = Spcf.Ctx.target_of_theta ctx theta in
       let short = Spcf.Exact.short_path ctx ~target in
       let path = Spcf.Exact.path_based ctx ~target in
-      let par = Spcf.Parallel.short_path ~jobs:2 ctx ~target in
       let node = Spcf.Node_based.compute ctx ~target in
       let names r =
         String.concat "," (List.map (fun (n, _, _) -> n) r.Spcf.Ctx.outputs)
@@ -86,38 +80,32 @@ let spcf_equal ~rng:_ ~budget net =
           | None -> Pass
       in
       let against_shared () =
-        match shared_ctx with
-        | None -> Pass
-        | Some sctx ->
-          let r =
-            Spcf.Parallel.short_path ~jobs:4 sctx
-              ~target:(Spcf.Ctx.target_of_theta sctx theta)
+        let r =
+          Spcf.Parallel.short_path ~jobs:4 sctx
+            ~target:(Spcf.Ctx.target_of_theta sctx theta)
+        in
+        if names short <> names r then
+          failf "theta=%.3f: critical outputs differ (short=[%s] shared=[%s])" theta
+            (names short) (names r)
+        else begin
+          let mismatch =
+            List.find_opt
+              (fun ((_, _, a), (_, _, b)) ->
+                Spcf.Parallel.export man a <> Spcf.Parallel.export sctx.Spcf.Ctx.man b)
+              (List.combine short.Spcf.Ctx.outputs r.Spcf.Ctx.outputs)
           in
-          if names short <> names r then
-            failf "theta=%.3f: critical outputs differ (short=[%s] shared=[%s])"
-              theta (names short) (names r)
-          else begin
-            let mismatch =
-              List.find_opt
-                (fun ((_, _, a), (_, _, b)) ->
-                  Spcf.Parallel.export man a
-                  <> Spcf.Parallel.export sctx.Spcf.Ctx.man b)
-                (List.combine short.Spcf.Ctx.outputs r.Spcf.Ctx.outputs)
-            in
-            match mismatch with
-            | Some ((o, _, _), _) ->
-              failf
-                "theta=%.3f: SPCF of %s differs between short-path and shared jobs=4"
-                theta o
-            | None -> Pass
-          end
+          match mismatch with
+          | Some ((o, _, _), _) ->
+            failf "theta=%.3f: SPCF of %s differs between short-path and shared jobs=4"
+              theta o
+          | None -> Pass
+        end
       in
       List.fold_left
         (fun acc r -> match acc with Pass -> r () | other -> other)
         Pass
         [
           (fun () -> against "path-based" path);
-          (fun () -> against "parallel" par);
           (fun () -> against_shared ());
           superset;
         ]

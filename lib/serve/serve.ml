@@ -103,36 +103,41 @@ let run_ping flag delay =
   wait ();
   (0, "pong\n")
 
+let run_request ~note ?out ?snapshot_for ~lookup ~budget buf = function
+  | Serve_protocol.Lint (c, r) -> Serve_jobs.run_lint ~note buf c r
+  | Serve_protocol.Spcf (c, r, b) -> Serve_jobs.run_spcf ~note buf lookup c r (budget b)
+  | Serve_protocol.Paths (c, r, b) ->
+    Serve_jobs.run_paths ~note buf lookup c r (budget b)
+  | Serve_protocol.Protect (c, r, b) ->
+    Serve_jobs.run_protect ~note ?out buf lookup c r (budget b)
+  | Serve_protocol.Eco (c, r, b) ->
+    Serve_jobs.run_eco ~note ?snapshot_for buf lookup c r (budget b)
+  | Serve_protocol.Ping _ | Serve_protocol.Metrics | Serve_protocol.Shutdown ->
+    invalid_arg "Serve.run_request: not an analysis job"
+
 let run_job t (j : job) note =
-  let lookup = Serve_cache.lookup t.cache in
   let budget rspec =
     Budget.cancelled_by j.flag (Budget.merge rspec t.config.default_budget)
   in
-  let buf = Buffer.create 1024 in
+  let run ?snapshot_for lookup =
+    let buf = Buffer.create 1024 in
+    let code = run_request ~note ?snapshot_for ~lookup ~budget buf j.req in
+    (code, Buffer.contents buf)
+  in
   match j.req with
-  | Serve_protocol.Lint (c, r) ->
-    let code = Serve_jobs.run_lint ~note buf c r in
-    (code, Buffer.contents buf)
-  | Serve_protocol.Spcf (c, r, b) ->
-    let code = Serve_jobs.run_spcf ~note buf lookup c r (budget b) in
-    (code, Buffer.contents buf)
-  | Serve_protocol.Paths (c, r, b) ->
-    let code = Serve_jobs.run_paths ~note buf lookup c r (budget b) in
-    (code, Buffer.contents buf)
-  | Serve_protocol.Protect (c, r, b) ->
-    let code = Serve_jobs.run_protect ~note buf lookup c r (budget b) in
-    (code, Buffer.contents buf)
-  | Serve_protocol.Eco (c, r, b) ->
+  | Serve_protocol.Eco (c, _, _) ->
     (* Whole-job entry lock: the cached baseline's manager is shared,
        and the recompute mutates it. The entry is pinned for the whole
        job — the shadowed [lookup] resolves this circuit to the locked
        entry, never back through the table (see Serve_cache). *)
     Serve_cache.with_eco_lock t.cache c (fun ~lookup ~snapshot_for ->
-        let code = Serve_jobs.run_eco ~note ~snapshot_for buf lookup c r (budget b) in
-        (code, Buffer.contents buf))
+        run ~snapshot_for lookup)
   | Serve_protocol.Ping delay -> run_ping j.flag delay
   | Serve_protocol.Metrics -> (0, metrics_body t)
   | Serve_protocol.Shutdown -> (0, "shutting down\n")
+  | Serve_protocol.Lint _ | Serve_protocol.Spcf _ | Serve_protocol.Paths _
+  | Serve_protocol.Protect _ ->
+    run (Serve_cache.lookup t.cache)
 
 let job_name = function
   | Serve_protocol.Lint _ -> "lint"

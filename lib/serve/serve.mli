@@ -38,6 +38,23 @@ val default_config : config
 (** TCP on 127.0.0.1:9309, 2 workers, queue 16, 256 MiB cache, no
     budget, no ledger, 10 s request-read timeout. *)
 
+val run_request :
+  note:Serve_jobs.note ->
+  ?out:string ->
+  ?snapshot_for:Serve_jobs.snapshot_for ->
+  lookup:Serve_jobs.lookup ->
+  budget:(Budget.spec -> Budget.spec) ->
+  Buffer.t ->
+  Serve_protocol.request ->
+  int
+(** Run one analysis request ([lint], [spcf], [paths], [protect] or
+    [eco]) through its {!Serve_jobs} runner, rendering into the buffer
+    and returning the exit code: the one dispatcher behind both the
+    one-shot CLI and the daemon's workers. [budget] finishes each
+    request's budget spec (the daemon merges its default and the
+    disconnect flag in). Raises [Invalid_argument] on [ping],
+    [metrics] and [shutdown]. *)
+
 val run : ?ready:(int -> unit) -> config -> unit
 (** Serve until a [shutdown] request. [ready] fires once the socket is
     listening, with the bound TCP port (0 for Unix sockets) — port 0

@@ -15,12 +15,12 @@
      {"status": "ok", "exit": N, "output": S}
      {"status": "rejected"|"error", "code": C, "message": M}
 
-   The parameter vocabulary deliberately mirrors the CLI flags
-   (theta, band, jobs, json, contract, fail_on, max_paths, edits,
-   check, timeout, max_nodes), including their validation: the daemon
-   enforces the same domains the cmdliner converters do, so a request
-   no CLI invocation could express is rejected, not silently
-   interpreted. *)
+   The parameter vocabulary mirrors the CLI flags (json, contract,
+   edits, check, prune_false_paths, plus the {!Serve_opts} table:
+   theta, band, max_paths, jobs, fail_on, algorithm, timeout,
+   max_nodes). Table parameters are decoded through the same entries
+   the cmdliner arguments are built from, so a request no CLI
+   invocation could express is rejected, not silently interpreted. *)
 
 exception Protocol_error of string
 
@@ -96,27 +96,17 @@ let obj_number key j =
   | Some _ -> bad "%S must be a number" key
   | None -> None
 
-(* The same domains the CLI converters enforce, with the same
-   one-line message shapes. *)
-let unit_interval key j ~default =
-  match obj_number key j with
-  | None -> default
-  | Some v ->
-    if v > 0. && v <= 1. then v
-    else bad "%S must lie in (0, 1], got %g" key v
-
-let pos_int key j ~default =
-  match Obs_json.member key j with
-  | None -> default
-  | Some (Obs_json.Int n) when n >= 1 -> n
-  | Some _ -> bad "%S must be a positive integer" key
-
-let pos_float_opt key j =
-  match obj_number key j with
+(* A parameter from the shared table ({!Serve_opts}): the CLI flag's
+   domain and message shape, under its JSON key. Absent is [None]. *)
+let find (e : _ Serve_opts.t) j =
+  match Obs_json.member e.key j with
   | None -> None
-  | Some v ->
-    if v > 0. && v < infinity then Some v
-    else bad "%S must be a positive number, got %g" key v
+  | Some v -> (
+    match Serve_opts.decode e v with Ok x -> Some x | Error m -> raise (Protocol_error m))
+
+(* ... falling back to the table default. *)
+let get (e : _ Serve_opts.t) j =
+  match find e j with Some v -> v | None -> Option.get e.default
 
 let circuit_of j =
   match obj_string "circuit" j with
@@ -125,28 +115,11 @@ let circuit_of j =
 
 let budget_of j =
   {
-    Budget.timeout = pos_float_opt "timeout" j;
-    max_nodes =
-      (match Obs_json.member "max_nodes" j with
-      | None -> None
-      | Some (Obs_json.Int n) when n >= 1 -> Some n
-      | Some _ -> bad "\"max_nodes\" must be a positive integer");
+    Budget.timeout = find Serve_opts.timeout j;
+    max_nodes = find Serve_opts.max_nodes j;
     max_ops = None;
     cancel_with = None;
   }
-
-let fail_on_of j =
-  match obj_string "fail_on" j with
-  | None | Some "error" -> Analysis.Diag.Error
-  | Some "warning" -> Analysis.Diag.Warning
-  | Some s -> bad "\"fail_on\" must be \"error\" or \"warning\", got %S" s
-
-let algorithm_of j =
-  match obj_string "algorithm" j with
-  | None | Some "short" -> Spcf.Governed.Short_path
-  | Some "path" -> Spcf.Governed.Path_based
-  | Some "node" -> Spcf.Governed.Node_based
-  | Some s -> bad "\"algorithm\" must be short, path or node, got %S" s
 
 let request_of_json j =
   match obj_string "job" j with
@@ -155,38 +128,38 @@ let request_of_json j =
     Lint
       ( circuit_of j,
         {
-          Serve_jobs.l_fail_on = fail_on_of j;
+          Serve_jobs.l_fail_on = get Serve_opts.fail_on j;
           l_json = obj_bool "json" j;
           l_contract = obj_bool "contract" j;
-          l_theta = unit_interval "theta" j ~default:0.9;
-          l_jobs = pos_int "jobs" j ~default:1;
+          l_theta = get Serve_opts.theta j;
+          l_jobs = get Serve_opts.jobs j;
         } )
   | Some "spcf" ->
     Spcf
       ( circuit_of j,
         {
-          Serve_jobs.s_theta = unit_interval "theta" j ~default:0.9;
-          s_algorithm = algorithm_of j;
-          s_jobs = pos_int "jobs" j ~default:1;
+          Serve_jobs.s_theta = get Serve_opts.theta j;
+          s_algorithm = get Serve_opts.algorithm j;
+          s_jobs = get Serve_opts.jobs j;
         },
         budget_of j )
   | Some "paths" ->
     Paths
       ( circuit_of j,
         {
-          Serve_jobs.p_band = unit_interval "band" j ~default:0.1;
-          p_max_paths = pos_int "max_paths" j ~default:4096;
-          p_jobs = pos_int "jobs" j ~default:1;
+          Serve_jobs.p_band = get Serve_opts.band j;
+          p_max_paths = get Serve_opts.max_paths j;
+          p_jobs = get Serve_opts.jobs j;
           p_json = obj_bool "json" j;
-          p_fail_on = fail_on_of j;
+          p_fail_on = get Serve_opts.fail_on j;
         },
         budget_of j )
   | Some "protect" ->
     Protect
       ( circuit_of j,
         {
-          Serve_jobs.m_theta = unit_interval "theta" j ~default:0.9;
-          m_jobs = pos_int "jobs" j ~default:1;
+          Serve_jobs.m_theta = get Serve_opts.theta j;
+          m_jobs = get Serve_opts.jobs j;
           m_prune = obj_bool "prune_false_paths" j;
         },
         budget_of j )
@@ -202,12 +175,9 @@ let request_of_json j =
           Serve_jobs.c_edits_name =
             Option.value ~default:"<request>" (obj_string "edits_name" j);
           c_edits = edits;
-          c_theta = unit_interval "theta" j ~default:0.9;
-          c_band =
-            (match Obs_json.member "band" j with
-            | None -> None
-            | Some _ -> Some (unit_interval "band" j ~default:0.1));
-          c_jobs = pos_int "jobs" j ~default:1;
+          c_theta = get Serve_opts.theta j;
+          c_band = find Serve_opts.band j;
+          c_jobs = get Serve_opts.jobs j;
           c_json = obj_bool "json" j;
           c_check = obj_bool "check" j;
         },
@@ -230,19 +200,11 @@ let json_of_circuit (c : Serve_jobs.circuit) =
   | Some s -> [ ("source", Obs_json.String s) ]
   | None -> [])
 
-let json_of_budget (b : Budget.spec) =
-  (match b.Budget.timeout with
-  | Some t -> [ ("timeout", Obs_json.Float t) ]
-  | None -> [])
-  @
-  match b.Budget.max_nodes with
-  | Some n -> [ ("max_nodes", Obs_json.Int n) ]
-  | None -> []
+let field (e : _ Serve_opts.t) v = (e.key, e.to_json v)
+let field_opt e = function Some v -> [ field e v ] | None -> []
 
-let string_of_fail_on = function
-  | Analysis.Diag.Error -> "error"
-  | Analysis.Diag.Warning -> "warning"
-  | Analysis.Diag.Info -> "info"
+let json_of_budget (b : Budget.spec) =
+  field_opt Serve_opts.timeout b.timeout @ field_opt Serve_opts.max_nodes b.max_nodes
 
 let json_of_request r =
   let open Obs_json in
@@ -251,59 +213,50 @@ let json_of_request r =
     | Lint (c, l) ->
       (("job", String "lint") :: json_of_circuit c)
       @ [
-          ( "fail_on",
-            String (string_of_fail_on l.Serve_jobs.l_fail_on) );
-          ("json", Bool l.Serve_jobs.l_json);
-          ("contract", Bool l.Serve_jobs.l_contract);
-          ("theta", Float l.Serve_jobs.l_theta);
-          ("jobs", Int l.Serve_jobs.l_jobs);
+          field Serve_opts.fail_on l.l_fail_on;
+          ("json", Bool l.l_json);
+          ("contract", Bool l.l_contract);
+          field Serve_opts.theta l.l_theta;
+          field Serve_opts.jobs l.l_jobs;
         ]
     | Spcf (c, s, b) ->
       (("job", String "spcf") :: json_of_circuit c)
       @ [
-          ("theta", Float s.Serve_jobs.s_theta);
-          ( "algorithm",
-            String
-              (match s.Serve_jobs.s_algorithm with
-              | Spcf.Governed.Short_path -> "short"
-              | Spcf.Governed.Path_based -> "path"
-              | Spcf.Governed.Node_based -> "node") );
-          ("jobs", Int s.Serve_jobs.s_jobs);
+          field Serve_opts.theta s.s_theta;
+          field Serve_opts.algorithm s.s_algorithm;
+          field Serve_opts.jobs s.s_jobs;
         ]
       @ json_of_budget b
     | Paths (c, p, b) ->
       (("job", String "paths") :: json_of_circuit c)
       @ [
-          ("band", Float p.Serve_jobs.p_band);
-          ("max_paths", Int p.Serve_jobs.p_max_paths);
-          ("jobs", Int p.Serve_jobs.p_jobs);
-          ("json", Bool p.Serve_jobs.p_json);
-          ( "fail_on",
-            String (string_of_fail_on p.Serve_jobs.p_fail_on) );
+          field Serve_opts.band p.p_band;
+          field Serve_opts.max_paths p.p_max_paths;
+          field Serve_opts.jobs p.p_jobs;
+          ("json", Bool p.p_json);
+          field Serve_opts.fail_on p.p_fail_on;
         ]
       @ json_of_budget b
     | Protect (c, m, b) ->
       (("job", String "protect") :: json_of_circuit c)
       @ [
-          ("theta", Float m.Serve_jobs.m_theta);
-          ("jobs", Int m.Serve_jobs.m_jobs);
-          ("prune_false_paths", Bool m.Serve_jobs.m_prune);
+          field Serve_opts.theta m.m_theta;
+          field Serve_opts.jobs m.m_jobs;
+          ("prune_false_paths", Bool m.m_prune);
         ]
       @ json_of_budget b
     | Eco (c, e, b) ->
       (("job", String "eco") :: json_of_circuit c)
       @ [
-          ("edits", String e.Serve_jobs.c_edits);
-          ("edits_name", String e.Serve_jobs.c_edits_name);
-          ("theta", Float e.Serve_jobs.c_theta);
+          ("edits", String e.c_edits);
+          ("edits_name", String e.c_edits_name);
+          field Serve_opts.theta e.c_theta;
         ]
-      @ (match e.Serve_jobs.c_band with
-        | Some b -> [ ("band", Float b) ]
-        | None -> [])
+      @ field_opt Serve_opts.band e.c_band
       @ [
-          ("jobs", Int e.Serve_jobs.c_jobs);
-          ("json", Bool e.Serve_jobs.c_json);
-          ("check", Bool e.Serve_jobs.c_check);
+          field Serve_opts.jobs e.c_jobs;
+          ("json", Bool e.c_json);
+          ("check", Bool e.c_check);
         ]
       @ json_of_budget b
     | Ping d -> [ ("job", String "ping"); ("delay", Float d) ]

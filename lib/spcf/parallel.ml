@@ -2,27 +2,19 @@
 
    The per-output SPCFs Σ_y are independent: each one is a function of
    the (immutable) mapped circuit, the delay model and the target only.
-   Two execution modes cover the two manager backends:
+   With [jobs > 1] the context must have been built with
+   [~shared:true]: all workers compute directly in the one concurrent
+   BDD manager and return node handles. Subgraphs common to several
+   output cones — exactly the reconvergent logic that makes table1
+   circuits expensive — are interned once instead of once per worker,
+   and no export/import pass exists at all.
 
-   - Shared-manager mode (the fast path, used when the context was
-     built with [~shared:true]): all workers compute directly in the
-     one concurrent BDD manager and return node handles. Subgraphs
-     common to several output cones — exactly the reconvergent logic
-     that makes table1 circuits expensive — are interned once instead
-     of once per worker, and no export/import pass exists at all.
-
-   - Private-manager mode (the compatibility path, and the ECO
-     persistence format): each worker builds a private [Ctx.t], ships
-     each Σ_y back as a plain-integer postorder DAG, and the main
-     domain re-imports them into the caller's manager in
-     critical-output order.
-
-   Both modes produce the same function set as the sequential
-   algorithms — ROBDDs are canonical, and every consumer (satcount,
-   ISOP extraction, synthesis) is a function of the BDD semantics, not
-   of node numbering. [jobs = 1] (the default) bypasses all of this
-   and runs the sequential algorithm unchanged, keeping single-job
-   runs bit-for-bit identical to the pre-parallel code path.
+   The result is the same function set the sequential algorithms
+   produce — ROBDDs are canonical, and every consumer (satcount, ISOP
+   extraction, synthesis) is a function of the BDD semantics, not of
+   node numbering. [jobs = 1] (the default) bypasses all of this and
+   runs the sequential algorithm unchanged, keeping single-job runs
+   bit-for-bit identical to the pre-parallel code path.
 
    Observability composes with parallelism: each worker domain gets its
    own domain-local Obs collectors for free (Domain.DLS), exports a
@@ -67,7 +59,8 @@ let auto_jobs ?(cap = 8) () =
 
 (* --- cross-manager BDD transport ---------------------------------------
 
-   A BDD is exported as a postorder DAG over plain integers: ids 0/1 are
+   The persistence format of ECO snapshots (emask-eco/1), and the
+   tests' manager-independent comparison of SPCFs. A BDD is exported as a postorder DAG over plain integers: ids 0/1 are
    the terminals, internal node i (array index) has id i + 2, and
    children always precede parents. Import replays the array bottom-up
    with ite(var v, high, low) = the node (v, low, high), which re-canonizes
@@ -176,38 +169,11 @@ let worker_sigmas ctx ~algorithm ~outputs ~target_units =
     Exact.sigmas ctx ~opts:Exact.proposed_options ~outputs ~target_units
   | Path_based -> Exact.sigmas_lateness ctx ~outputs ~target_units
 
-(* Private-manager mode: worker j builds its own context, computes its
-   chunk there, and exports each Σ as a manager-independent DAG. *)
-let compute_private ctx ~algorithm ~target:_ ~critical ~k ~chunk ~target_units =
-  let circuit = ctx.Ctx.circuit and model = ctx.Ctx.model in
-  let parent_budget = ctx.Ctx.budget in
-  let worker j =
-    (* Workers share the parent's cancel flag: the first one to
-       exhaust its budget cancels the team, and the others abandon
-       their shards at the next amortized poll. *)
-    let wbudget = Budget.for_worker parent_budget in
-    match
-      let wctx = Ctx.create ~model ~budget:wbudget circuit in
-      worker_sigmas wctx ~algorithm ~outputs:(chunk j) ~target_units
-      |> List.map (fun (nm, y, sigma) -> (nm, y, export wctx.Ctx.man sigma))
-    with
-    | sigs -> Ok sigs
-    | exception Budget.Budget_exceeded r ->
-      Budget.cancel wbudget;
-      Error r
-  in
-  fanout ~k ~worker ~commit:(fun per_domain ->
-      (* Importing into the caller's manager happens only here, on the
-         main domain, in critical-output order. *)
-      let man = ctx.Ctx.man in
-      interleave ~n:(Array.length critical) ~k per_domain
-      |> List.map (fun (nm, y, dag) -> (nm, y, import man dag)))
-
-(* Shared-manager mode: every worker computes directly in the
-   caller's manager and returns node handles — no transport at all.
-   The context is made read-only for workers up front (prime cache
-   prewarmed); the manager itself is the concurrent backend. *)
-let compute_shared ctx ~algorithm ~target:_ ~critical ~k ~chunk ~target_units =
+(* Every worker computes directly in the caller's manager and returns
+   node handles — no transport at all. The context is made read-only
+   for workers up front (prime cache prewarmed); the manager itself is
+   the concurrent backend. *)
+let compute_shared ctx ~algorithm ~critical ~k ~chunk ~target_units =
   Ctx.prewarm_primes ctx;
   let parent_budget = ctx.Ctx.budget in
   let worker j =
@@ -223,6 +189,12 @@ let compute_shared ctx ~algorithm ~target:_ ~critical ~k ~chunk ~target_units =
 
 let compute ?jobs ctx ~algorithm ~target =
   let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
+  if jobs > 1 && not (Bdd.is_shared ctx.Ctx.man) then
+    invalid_arg
+      (Printf.sprintf
+         "Spcf.Parallel: jobs = %d needs a shared-manager context (Ctx.create \
+          ~shared:true)"
+         jobs);
   if jobs = 1 then sequential ctx ~algorithm ~target
   else begin
     let critical = Sta.critical_outputs ctx.Ctx.sta ~target in
@@ -245,10 +217,7 @@ let compute ?jobs ctx ~algorithm ~target =
               Array.of_list
                 (List.filteri (fun i _ -> i mod k = j) (Array.to_list critical))
             in
-            let mode =
-              if Bdd.is_shared ctx.Ctx.man then compute_shared else compute_private
-            in
-            mode ctx ~algorithm ~target ~critical ~k ~chunk ~target_units)
+            compute_shared ctx ~algorithm ~critical ~k ~chunk ~target_units)
       in
       Ctx.make_result ctx ~algorithm:name ~target outputs ~runtime
     end

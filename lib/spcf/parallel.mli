@@ -1,21 +1,17 @@
 (** Domain-parallel per-output SPCF computation.
 
     The per-output SPCFs are independent given the (immutable) mapped
-    circuit. On a shared-manager context ([Ctx.create ~shared:true])
-    all workers compute node handles directly in the one concurrent
-    BDD manager — common subgraphs are interned once, and no
-    export/import pass exists. On a sequential-manager context each
-    worker builds a private [Ctx.t], ships each Σ_y back as a
-    plain-integer DAG, and the main domain re-imports them in
-    critical-output order (the compatibility path, also the ECO
-    persistence format). Either way results are deterministic and
-    function-identical to the sequential algorithms. With [jobs = 1]
-    (the default) the sequential code path runs unchanged. Obs
-    collection composes with parallelism: workers record into
-    domain-local collectors, and their snapshots are merged into the
-    main domain's registry in worker order after the join, so
-    [--jobs N --stats] reports true parallel behaviour with per-domain
-    attribution. *)
+    circuit. With [jobs > 1] on a shared-manager context
+    ([Ctx.create ~shared:true]) all workers compute node handles
+    directly in the one concurrent BDD manager — common subgraphs are
+    interned once, and no export/import pass exists. Results are
+    deterministic and function-identical to the sequential
+    algorithms. With [jobs = 1] (the default) the sequential code
+    path runs unchanged. Obs collection composes with parallelism:
+    workers record into domain-local collectors, and their snapshots
+    are merged into the main domain's registry in worker order after
+    the join, so [--jobs N --stats] reports true parallel behaviour
+    with per-domain attribution. *)
 
 type algorithm = Short_path | Path_based
 
@@ -33,7 +29,9 @@ val compute : ?jobs:int -> Ctx.t -> algorithm:algorithm -> target:float -> Ctx.r
 (** [jobs] defaults to [default_jobs ()]. The result — outputs in
     critical-output order, union, counts — is the same function set the
     sequential algorithm produces; only [runtime] (wall clock) and the
-    internal node numbering of the shared manager may differ. *)
+    internal node numbering of the shared manager may differ. Raises
+    [Invalid_argument] when [jobs > 1] and the context's manager is
+    not shared — there is no second execution mode to fall back to. *)
 
 val short_path : ?jobs:int -> Ctx.t -> target:float -> Ctx.result
 val path_based : ?jobs:int -> Ctx.t -> target:float -> Ctx.result
@@ -44,8 +42,9 @@ type dag = int array * int array * int array * int
 
 val export : Bdd.man -> Bdd.t -> dag
 val import : Bdd.man -> dag -> Bdd.t
-(** Cross-manager BDD transport (exposed for tests): postorder DAG with
-    terminal ids 0/1 and internal ids offset by 2. *)
+(** Cross-manager BDD transport — the ECO snapshot format
+    ([emask-eco/1]) and the tests' manager-independent comparison:
+    postorder DAG with terminal ids 0/1 and internal ids offset by 2. *)
 
 val fanout :
   k:int ->

@@ -33,7 +33,10 @@ type t = {
 
 exception Capped
 
-let enumerate ?(band = 0.1) ?(max_paths = 4096) sta =
+let default_band = 0.1
+let default_max_paths = 4096
+
+let enumerate ?(band = default_band) ?(max_paths = default_max_paths) sta =
   if not (band >= 0. && band <= 1.) then
     invalid_arg "Paths.enumerate: band must be in [0, 1]";
   if max_paths < 1 then invalid_arg "Paths.enumerate: max_paths must be positive";

@@ -20,13 +20,19 @@ type t = {
   truncated : bool;  (** enumeration stopped at the [max_paths] cap *)
 }
 
+val default_band : float
+(** [0.1]: paths within 10% of the critical delay, the paper's band. *)
+
+val default_max_paths : int
+(** [4096]. *)
+
 val enumerate : ?band:float -> ?max_paths:int -> Sta.t -> t
 (** Exact and deterministic: every structural path with
     [length > target + Sta.eps] is produced exactly once, outputs in
     declaration order and paths within an output in fanin-DFS order,
-    unless the [max_paths] cap (default 4096) stops the walk — which
+    unless the [max_paths] cap ({!default_max_paths}) stops the walk — which
     sets [truncated] rather than failing or dropping paths silently.
-    [band] defaults to [0.1] and must lie in [[0, 1]]; a gate wired to
+    [band] defaults to {!default_band} and must lie in [[0, 1]]; a gate wired to
     one signal on several pins contributes a single path. Raises
     [Invalid_argument] on out-of-range parameters. *)
 

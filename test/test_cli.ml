@@ -1,5 +1,6 @@
-(* End-to-end tests of the emask executable: option validation (the
-   --theta and --jobs converters reject bad values the same way), the
+(* End-to-end tests of the emask, table1 and table2 executables: option
+   validation (the --theta, --jobs and count converters reject bad
+   values the same way; the table binaries reject unknown flags), the
    paths subcommand's contract with CI (final "verdicts:" line, zero
    Unknown on the examples), and byte-identical output across --jobs. *)
 
@@ -10,12 +11,15 @@ let emask =
   | Some path -> path
   | None -> Filename.concat ".." (Filename.concat "bin" "emask.exe")
 
-(* Run the binary, returning (exit code, stdout lines, stderr lines). *)
-let run args =
+let table1 = Filename.concat ".." (Filename.concat "bin" "table1.exe")
+let table2 = Filename.concat ".." (Filename.concat "bin" "table2.exe")
+
+(* Run a binary, returning (exit code, stdout lines, stderr lines). *)
+let run_exe exe args =
   let out = Filename.temp_file "emask_out" ".txt" in
   let err = Filename.temp_file "emask_err" ".txt" in
   let cmd =
-    Printf.sprintf "%s %s > %s 2> %s" (Filename.quote emask)
+    Printf.sprintf "%s %s > %s 2> %s" (Filename.quote exe)
       (String.concat " " (List.map Filename.quote args))
       (Filename.quote out) (Filename.quote err)
   in
@@ -35,6 +39,23 @@ let run args =
     lines
   in
   (code, slurp out, slurp err)
+
+let run args = run_exe emask args
+
+let contains text needle =
+  let n = String.length needle and len = String.length text in
+  let rec go i = i + n <= len && (String.sub text i n = needle || go (i + 1)) in
+  go 0
+
+(* A rejected argument: the exit code of a bad --jobs, and a first
+   stderr line naming the flag and the offending value. *)
+let check_rejected ?(exe = emask) name args ~flag ~bad =
+  let jobs_code, _, _ = run [ "paths"; "cmb"; "--jobs=0" ] in
+  let code, out, err = run_exe exe args in
+  check_int (name ^ " exits like --jobs 0") jobs_code code;
+  check (name ^ " prints nothing on stdout") true (out = []);
+  check (name ^ " diagnostic names the flag and value") true
+    (match err with line :: _ -> contains line flag && contains line bad | [] -> false)
 
 let fixture name = Filename.concat "fixtures" name
 let example name = Filename.concat (Filename.concat ".." (Filename.concat "examples" "blif")) name
@@ -129,6 +150,33 @@ let test_last_validation () =
   let code, _, _ = run [ "report"; "--ledger"; "/dev/null"; "--last"; "1" ] in
   check_int "--last 1 accepted" 0 code
 
+let test_count_validation () =
+  (* A count of 0 or less has no meaning here (0 trials gives -nan
+     error rates, 0 cycles a -nan window, 0 fuzz specimens a vacuous
+     pass), so each is rejected like --jobs 0. *)
+  List.iter
+    (fun (args, flag, bad) ->
+      check_rejected (String.concat " " args) args ~flag ~bad)
+    [
+      ([ "wearout"; "cmb"; "--trials"; "0" ], "--trials", "0");
+      ([ "wearout"; "cmb"; "--trials=-3" ], "--trials", "-3");
+      ([ "trace"; "cmb"; "--cycles"; "0" ], "--cycles", "0");
+      ([ "trace"; "cmb"; "--buffer=-2" ], "--buffer", "-2");
+      ([ "fuzz"; "--count"; "0" ], "--count", "0");
+      ([ "fuzz"; "-n"; "0" ], "-n", "0");
+    ]
+
+let test_table_flags () =
+  (* The table binaries share emask's argument parsing: unknown flags
+     and bad values are errors, not silently ignored (no table runs). *)
+  check_rejected ~exe:table1 "table1 --bogus" [ "--bogus" ] ~flag:"--bogus" ~bad:"";
+  check_rejected ~exe:table2 "table2 --bogus" [ "--bogus" ] ~flag:"--bogus" ~bad:"";
+  check_rejected ~exe:table2 "table2 --jobs 0" [ "--jobs"; "0" ] ~flag:"--jobs" ~bad:"0";
+  check_rejected ~exe:table1 "table1 --max-nodes 0" [ "--max-nodes"; "0" ]
+    ~flag:"--max-nodes" ~bad:"0";
+  check_rejected ~exe:table1 "table1 --timeout=-1" [ "--timeout=-1" ]
+    ~flag:"--timeout" ~bad:"-1"
+
 let test_eco_smoke () =
   (* emask eco with an empty edit sequence is the identity analysis:
      nothing dirty, and --check confirms incremental = full. *)
@@ -214,6 +262,8 @@ let () =
           Alcotest.test_case "theta validation" `Quick test_theta_validation;
           Alcotest.test_case "band validation" `Quick test_band_validation;
           Alcotest.test_case "last validation" `Quick test_last_validation;
+          Alcotest.test_case "count validation" `Quick test_count_validation;
+          Alcotest.test_case "table flags" `Quick test_table_flags;
           Alcotest.test_case "eco smoke" `Quick test_eco_smoke;
           Alcotest.test_case "paths examples" `Quick test_paths_examples;
           Alcotest.test_case "paths jobs identical" `Quick test_paths_jobs_identical;

@@ -179,22 +179,21 @@ let test_repro_blif_parses () =
 (* ---------- Spcf.Parallel determinism (satellite) ---------- *)
 
 (* jobs ∈ {1,2,4,8} must produce byte-identical exported SPCF DAGs on
-   every specimen: the parallel driver re-imports worker results in
-   critical-output order, so the final functions — and their postorder
-   export — cannot depend on the worker count. *)
+   every specimen. jobs > 1 runs in a shared-manager context, so the
+   comparison is the canonical postorder export, which cannot depend on
+   the manager or the worker count. *)
 let test_parallel_determinism () =
   let root = Fuzz.Rng.create ~seed:2024 in
   let circuits = 100 in
   for i = 0 to circuits - 1 do
     let spec = Fuzz.Gen.generate (Fuzz.Rng.child root i) in
-    let net = Fuzz.Gen.network spec in
-    let ctx = Spcf.Ctx.create (Mapper.map net) in
-    let man = ctx.Spcf.Ctx.man in
-    let target = Spcf.Ctx.target_of_theta ctx 0.9 in
+    let mc = Mapper.map (Fuzz.Gen.network spec) in
     let dags jobs =
+      let ctx = Spcf.Ctx.create ~shared:(jobs > 1) mc in
+      let target = Spcf.Ctx.target_of_theta ctx 0.9 in
       let r = Spcf.Parallel.short_path ~jobs ctx ~target in
       List.map
-        (fun (name, _, sigma) -> (name, Spcf.Parallel.export man sigma))
+        (fun (name, _, sigma) -> (name, Spcf.Parallel.export ctx.Spcf.Ctx.man sigma))
         r.Spcf.Ctx.outputs
     in
     let reference = dags 1 in

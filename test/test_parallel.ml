@@ -87,9 +87,11 @@ let same_result (ctx1, (r1 : Spcf.Ctx.result)) (ctx4, (r4 : Spcf.Ctx.result)) =
   check "union satcount" true
     (Extfloat.equal (Spcf.Ctx.count ctx1 r1) (Spcf.Ctx.count ctx4 r4))
 
+(* jobs > 1 runs on the shared-manager backend, the only parallel
+   mode; jobs = 1 keeps the sequential manager. *)
 let run_spcf algo jobs name =
   let mc = Mapper.map (Suite.load name) in
-  let ctx = Spcf.Ctx.create mc in
+  let ctx = Spcf.Ctx.create ~shared:(jobs > 1) mc in
   let target = Spcf.Ctx.target_of_theta ctx 0.9 in
   let r =
     match algo with
@@ -102,6 +104,35 @@ let test_spcf_determinism algo () =
   List.iter
     (fun name -> same_result (run_spcf algo 1 name) (run_spcf algo 4 name))
     circuits
+
+(* There is no private-manager fallback: asking for workers on a
+   sequential-manager context is an argument error, not a silent
+   change of execution mode. *)
+let test_needs_shared () =
+  let mc = Mapper.map (Suite.load "x2") in
+  let ctx = Spcf.Ctx.create mc in
+  let target = Spcf.Ctx.target_of_theta ctx 0.9 in
+  check "jobs=2 on a sequential manager raises" true
+    (match Spcf.Parallel.short_path ~jobs:2 ctx ~target with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
+(* A worker that exhausts the shared budget cancels the team, and the
+   caller sees the root cause, not the teammates' Cancelled. The node
+   quota leaves the context's global BDDs room but not the SPCFs. *)
+let test_budget_cancels_team () =
+  let mc = Mapper.map (Suite.load "x2") in
+  let base = Bdd.num_nodes (Spcf.Ctx.create ~shared:true mc).Spcf.Ctx.man in
+  let budget = Budget.create ~max_nodes:(base + 50) () in
+  let ctx = Spcf.Ctx.create ~budget ~shared:true mc in
+  let target = Spcf.Ctx.target_of_theta ctx 0.5 in
+  check "several critical outputs" true
+    (Array.length (Sta.critical_outputs ctx.Spcf.Ctx.sta ~target) > 1);
+  (match Spcf.Parallel.short_path ~jobs:4 ctx ~target with
+  | _ -> Alcotest.fail "expected the node quota to stop the run"
+  | exception Budget.Budget_exceeded r ->
+    check "root cause surfaces" true (r = Budget.Nodes));
+  check "the team was cancelled" true (Budget.cancelled budget)
 
 (* Downstream synthesis + verification must be unaffected by the worker
    count: every verdict and every overhead figure matches. *)
@@ -255,6 +286,9 @@ let () =
             (test_spcf_determinism `Path);
           Alcotest.test_case "synthesis jobs=4 = jobs=1" `Quick
             test_synthesis_determinism;
+          Alcotest.test_case "jobs > 1 needs a shared manager" `Quick test_needs_shared;
+          Alcotest.test_case "budget exhaustion cancels the team" `Quick
+            test_budget_cancels_team;
         ] );
       ( "observability",
         [

@@ -4,7 +4,8 @@
    structured rejections, a client disconnect cancels the running job
    via its budget flag, hung clients are shed by the read timeout
    without taking the daemon down, and a disconnect while queued drops
-   the job unrun. *)
+   the job unrun. The client accepts exactly its job's one-shot flags,
+   and a bare request decodes to the one-shot CLI's defaults. *)
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -346,6 +347,72 @@ let test_queued_disconnect_drops () =
       wait_cancelled ();
       ignore (Unix.waitpid [] busy))
 
+(* --- client / one-shot parity ---------------------------------------------- *)
+
+(* A flag the job does not take is rejected by the client's argument
+   parser exactly as by the one-shot CLI — before any connection: the
+   socket here does not exist, so reaching the network would fail
+   differently (IO001, exit 2). *)
+let test_client_rejects_foreign_flags () =
+  let sock = fresh_sock () in
+  List.iter
+    (fun (args, flag) ->
+      let name = String.concat " " args in
+      let ocode, _, oerr = run args in
+      let ccode, cout, cerr = run (("client" :: args) @ [ "--socket"; sock ]) in
+      check (name ^ " one-shot rejects") true (ocode <> 0);
+      check_int (name ^ " client exits like the one-shot") ocode ccode;
+      check (name ^ " client prints nothing") true (cout = []);
+      let first = function line :: _ -> line | [] -> "" in
+      check (name ^ " one-shot names the flag") true (contains (first oerr) flag);
+      check (name ^ " client names the flag") true (contains (first cerr) flag))
+    [
+      ([ "lint"; "cmb"; "--band"; "0.3" ], "--band");
+      ([ "spcf"; "cmb"; "--contract" ], "--contract");
+    ]
+
+(* A minimal raw request — job, circuit, jobs 1, plus the edit text
+   for eco — must render exactly what the one-shot CLI prints at
+   --jobs 1: every other parameter defaults from the same table on
+   both sides. *)
+let test_bare_request_defaults () =
+  let edits = Filename.temp_file "emask_edits" ".eco" in
+  let oc = open_out edits in
+  output_string oc "# no edits\n";
+  close_out oc;
+  let lines_of s =
+    match List.rev (String.split_on_char '\n' s) with
+    | "" :: rest -> List.rev rest
+    | l -> List.rev l
+  in
+  with_server (fun sock ->
+      List.iter
+        (fun (job, extra, cli_extra) ->
+          let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+          Unix.connect fd (Unix.ADDR_UNIX sock);
+          Serve_protocol.write_frame fd
+            (Printf.sprintf {|{"job":%S,"circuit":"cmb","jobs":1%s}|} job extra);
+          let response = Serve_protocol.recv_response fd in
+          Unix.close fd;
+          let ccode, cout, _ = run ([ job; "cmb"; "--jobs"; "1" ] @ cli_extra) in
+          match response with
+          | Serve_protocol.Ok_output (scode, sout) ->
+            check_int (job ^ " exit code") ccode scode;
+            check_string (job ^ " output")
+              (String.concat "\n" (normalize cout))
+              (String.concat "\n" (normalize (lines_of sout)))
+          | _ -> Alcotest.failf "%s: expected an ok response" job)
+        [
+          ("lint", "", []);
+          ("spcf", "", []);
+          ("paths", "", []);
+          ("protect", "", []);
+          ( "eco",
+            Printf.sprintf {|,"edits":"# no edits\n","edits_name":%S|} edits,
+            [ "--edits"; edits ] );
+        ]);
+  Sys.remove edits
+
 (* --- protocol-level rejection --------------------------------------------- *)
 
 let test_protocol_rejections () =
@@ -386,5 +453,8 @@ let () =
           Alcotest.test_case "queued disconnect drops" `Quick
             test_queued_disconnect_drops;
           Alcotest.test_case "protocol rejections" `Quick test_protocol_rejections;
+          Alcotest.test_case "client rejects foreign flags" `Quick
+            test_client_rejects_foreign_flags;
+          Alcotest.test_case "bare request defaults" `Quick test_bare_request_defaults;
         ] );
     ]
