@@ -1,14 +1,37 @@
-(* Reduced ordered binary decision diagrams with a hash-consed unique
-   table and an ite computed-table, per manager. Node handles are ints;
-   0 and 1 are the terminals. Variables are 0 .. nvars-1 in fixed order.
+(* Reduced ordered binary decision diagrams with complement edges
+   (Brace, Rudell and Bryant, DAC 1990), a hash-consed unique table and
+   a computed table, per manager. Variables are 0 .. nvars-1 in fixed
+   order.
+
+   Handle encoding (one encoding, both backends). A handle is
+   [(node lsl 1) lor c]: bit 0 is the complement flag, the rest a node
+   id. Node 0 is the only terminal and stands for false, so
+   [bfalse = 0] and [btrue = 1] (the complemented terminal). A node
+   stores (var, low, high) where [low] may be complemented but [high]
+   is always regular; [mk] restores that invariant by complementing
+   both children and the result, which keeps the representation
+   canonical: equal functions have equal handles, and [bnot] is
+   [lxor 1] — no traversal, no new node. The cofactor accessors
+   ([var_of]/[low_of]/[high_of]) propagate the complement flag, so a
+   walker that only sees handles observes the plain ROBDD of the
+   function (every exported DAG, ISOP and satcount is unchanged by the
+   encoding).
+
+   Apply operations: [ite] normalises its arguments to a standard
+   triple (f and g regular, complement factored onto the result) and
+   hands the AND/OR forms ([ite f g 0], [ite f 1 h], ...) to one
+   commutative AND recursion with ordered operands, and [ite f (not h)
+   h] to one XOR recursion that factors out the complement parity. The
+   recursions compute cofactors field by field (no tuples, no
+   allocation) and share one direct-mapped computed table whose key
+   carries an op tag. Every step counts as a [bdd.ite.*] call.
 
    A manager has one of two storage backends (see DESIGN.md §8 and §13):
 
    - [Seq] — the single-domain backend: flat int arrays for the node
      store, an open-addressing unique table with linear probing, and a
-     lossy direct-mapped ite cache with packed keys. This is exactly
-     the pre-concurrency code path: no atomics, no locks, no
-     indirection on the hot path.
+     lossy direct-mapped computed table with packed keys. No atomics,
+     no locks, no indirection on the hot path.
 
    - [Shr] — the shared-memory backend ([create_shared]): one unique
      table that several domains grow concurrently. The node store is a
@@ -24,20 +47,26 @@
      release store. Stripe growth is cooperative: the lock holder
      partitions the old table into segments and any domain that
      arrives at the busy stripe helps copy segments, CAS-ing node ids
-     into the new table. The ite computed cache stays per-domain
+     into the new table. The computed cache stays per-domain
      (Domain.DLS) so the ~90% hit path never touches shared cache
      lines; [clear_caches] bumps a global generation that orphans
-     every domain's entries at their next ite call. *)
+     every domain's entries at their next operation.
+
+   Cell elaboration ([cover_with]) compiles every cover of at most 5
+   variables into a short AND/XOR/ITE program once and replays it per
+   gate (see "compiled cell elaboration" below). *)
 
 type t = int
 
 let bfalse : t = 0
 let btrue : t = 1
 
-(* Hard ceiling on node ids so packed cache keys fit in one word. *)
+(* Hard ceiling on node ids: handles stay below 2^31, so two of them
+   pack into one computed-table key word. *)
 let max_nodes = 1 lsl 30
 
-(* Instrumentation probes (free when Obs is disabled). *)
+(* Instrumentation probes (free when Obs is disabled). Every AND, XOR
+   and ITE recursion step counts under the [bdd.ite.*] names. *)
 let c_ite_calls = Obs.counter "bdd.ite.calls"
 let c_ite_hits = Obs.counter "bdd.ite.cache_hits"
 let c_ite_misses = Obs.counter "bdd.ite.cache_misses"
@@ -63,17 +92,27 @@ let[@inline] mix3 a b c =
   let h = h * 0x27D4EB2F165667C5 in
   h lxor (h lsr 32)
 
+let[@inline] imin (a : int) b = if a < b then a else b
+
+(* Computed-table keys: word 1 packs the first two operands
+   [(f lsl 31) lor g]; word 2 packs [tag lor (gen lsl 31) lor h], with
+   the op tag in bits 61-62 above the 30-bit generation. AND and XOR
+   entries have no third operand (h = 0). *)
+let tag_and = 1 lsl 61
+let tag_xor = 2 lsl 61
+
 (* ---------- sequential backend ---------- *)
 
 type seq = {
-  mutable var : int array; (* variable label per node; nvars for terminals *)
-  mutable low : int array;
-  mutable high : int array;
-  mutable n_nodes : int;
-  (* unique table: open addressing, capacity = umask + 1 (power of two) *)
+  mutable var : int array; (* variable label per node id; nvars for the terminal *)
+  mutable low : int array; (* low edge: a handle, possibly complemented *)
+  mutable high : int array; (* high edge: always a regular handle *)
+  mutable n_nodes : int; (* node ids in use, the terminal included *)
+  (* unique table: open addressing over node ids, capacity = umask + 1
+     (power of two) *)
   mutable utable : int array;
   mutable umask : int;
-  (* ite computed table: direct-mapped, capacity = cmask + 1 *)
+  (* computed table: direct-mapped, capacity = cmask + 1 *)
   mutable ck1 : int array;
   mutable ck2 : int array;
   mutable cres : int array;
@@ -117,7 +156,7 @@ type shr = {
   limit : int Atomic.t; (* allocated node capacity (release store) *)
   next : int Atomic.t; (* next node id to claim *)
   stripes : stripe array;
-  sgen : int Atomic.t; (* shared ite-cache generation *)
+  sgen : int Atomic.t; (* shared computed-cache generation *)
   s_cache_bits : int;
 }
 
@@ -153,8 +192,9 @@ let create ?cache_bits ~nvars () =
   in
   let cap = 1024 in
   let var = Array.make cap 0 and low = Array.make cap 0 and high = Array.make cap 0 in
+  (* The terminal: var = nvars, both edges to itself, so the cofactors
+     of a constant are that constant. *)
   var.(0) <- nvars;
-  var.(1) <- nvars;
   let ck1, ck2, cres, cmask = cache_make cbits in
   {
     nvars;
@@ -164,7 +204,7 @@ let create ?cache_bits ~nvars () =
           var;
           low;
           high;
-          n_nodes = 2;
+          n_nodes = 1;
           utable = Array.make 4096 0;
           umask = 4095;
           ck1;
@@ -185,9 +225,8 @@ let create_shared ?cache_bits ~nvars () =
   let cbits = Option.value cache_bits ~default:default_shared_cache_bits in
   let chunks = Array.make (max_nodes lsr chunk_bits) [||] in
   let c0 = Array.make (chunk_nodes * 3) 0 in
-  (* Terminals: var = nvars, children unused. *)
+  (* The terminal: var = nvars, both edges to itself. *)
   c0.(0) <- nvars;
-  c0.(3) <- nvars;
   chunks.(0) <- c0;
   let stripe () =
     {
@@ -206,7 +245,7 @@ let create_shared ?cache_bits ~nvars () =
           chunks;
           alloc_lock = Mutex.create ();
           limit = Atomic.make chunk_nodes;
-          next = Atomic.make 2;
+          next = Atomic.make 1;
           stripes = Array.init nstripes (fun _ -> stripe ());
           sgen = Atomic.make 0;
           s_cache_bits = cbits;
@@ -221,9 +260,10 @@ let budget man = man.budget
 
 let nvars man = man.nvars
 
-(* Shared-backend field access. A node id is only ever obtained through
-   an acquire (slot read, [limit] read, Domain.spawn/join), which makes
-   the plain chunk writes behind it visible — see DESIGN.md §13. *)
+(* Shared-backend field access by node id. A node id is only ever
+   obtained through an acquire (slot read, [limit] read,
+   Domain.spawn/join), which makes the plain chunk writes behind it
+   visible — see DESIGN.md §13. *)
 let[@inline] sh_var h n =
   Array.unsafe_get (Array.unsafe_get h.chunks (n lsr chunk_bits)) ((n land chunk_mask) * 3)
 
@@ -257,31 +297,39 @@ let cache_capacity man =
    2^30 clears an ancient entry could in principle alias, which is
    indistinguishable from an ordinary cache collision given the entry
    would also need matching keys. In shared mode the bump invalidates
-   every domain's cache at its next [ite] call. *)
+   every domain's cache at its next operation. *)
 let clear_caches man =
   match man.tab with
   | Seq s -> s.cgen <- (s.cgen + 1) land (max_nodes - 1)
   | Shr h -> Atomic.set h.sgen ((Atomic.get h.sgen + 1) land (max_nodes - 1))
 
-let var_of man n =
-  match man.tab with Seq s -> s.var.(n) | Shr h -> sh_var h n
+(* Cofactor accessors for the cold (traversal) paths: the variable of
+   the handle's node, and its low/high cofactors with the handle's
+   complement flag propagated. The hot apply paths below are
+   specialized per backend instead. *)
+let[@inline] ivar man f =
+  match man.tab with
+  | Seq s -> Array.unsafe_get s.var (f lsr 1)
+  | Shr h -> sh_var h (f lsr 1)
 
-let low_of man n = match man.tab with Seq s -> s.low.(n) | Shr h -> sh_low h n
-let high_of man n = match man.tab with Seq s -> s.high.(n) | Shr h -> sh_high h n
-let is_terminal n = n < 2
+let[@inline] ilow man f =
+  (match man.tab with
+  | Seq s -> Array.unsafe_get s.low (f lsr 1)
+  | Shr h -> sh_low h (f lsr 1))
+  lxor (f land 1)
 
-(* Generic accessors for the cold (traversal) paths; the hot ite/mk
-   paths below are specialized per backend instead. *)
-let[@inline] ivar man n =
-  match man.tab with Seq s -> Array.unsafe_get s.var n | Shr h -> sh_var h n
+let[@inline] ihigh man f =
+  (match man.tab with
+  | Seq s -> Array.unsafe_get s.high (f lsr 1)
+  | Shr h -> sh_high h (f lsr 1))
+  lxor (f land 1)
 
-let[@inline] ilow man n =
-  match man.tab with Seq s -> Array.unsafe_get s.low n | Shr h -> sh_low h n
+let is_terminal f = f < 2
+let var_of man f = ivar man f
+let low_of man f = ilow man f
+let high_of man f = ihigh man f
 
-let[@inline] ihigh man n =
-  match man.tab with Seq s -> Array.unsafe_get s.high n | Shr h -> sh_high h n
-
-(* ---------- sequential mk / ite (the uncontended fast path) ---------- *)
+(* ---------- sequential mk / apply (the uncontended fast path) ---------- *)
 
 let grow_nodes s =
   Obs.incr c_grow;
@@ -306,7 +354,7 @@ let unique_rehash s =
   Obs.instant "bdd.unique.rehash";
   let mask' = ((s.umask + 1) * 2) - 1 in
   let t' = Array.make (mask' + 1) 0 in
-  for n = 2 to s.n_nodes - 1 do
+  for n = 1 to s.n_nodes - 1 do
     let i = ref (mix3 s.var.(n) s.low.(n) s.high.(n) land mask') in
     while Array.unsafe_get t' !i <> 0 do
       i := (!i + 1) land mask'
@@ -315,9 +363,10 @@ let unique_rehash s =
   done;
   s.utable <- t';
   s.umask <- mask';
-  (* Let the lossy ite cache track the unique table up to a ceiling:
-     dropping the resident entries is sound (it is a cache) and growth
-     events are logarithmically rare, so there are no rehash storms. *)
+  (* Let the lossy computed table track the unique table up to a
+     ceiling: dropping the resident entries is sound (it is a cache) and
+     growth events are logarithmically rare, so there are no rehash
+     storms. *)
   if (not s.cache_fixed) && s.cmask + 1 < 1 lsl max_cache_bits && s.cmask < mask'
   then begin
     let bits =
@@ -331,85 +380,184 @@ let unique_rehash s =
     s.cmask <- cmask
   end
 
-(* Hash-consing find-or-insert. One probe sequence serves both the
-   lookup and the insertion point: the first empty slot terminates an
-   unsuccessful probe and is exactly where the new node id goes. *)
-let mk_seq man s v lo hi =
-  if lo = hi then lo
+(* Hash-consing find-or-insert of a normalised triple (high regular);
+   returns the node id. One probe sequence serves both the lookup and
+   the insertion point: the first empty slot terminates an unsuccessful
+   probe and is exactly where the new node id goes. *)
+let intern_seq man s v lo hi =
+  let table = s.utable and mask = s.umask in
+  let var = s.var and low = s.low and high = s.high in
+  let i = ref (mix3 v lo hi land mask) in
+  let found = ref 0 in
+  let scanning = ref true in
+  while !scanning do
+    let n = Array.unsafe_get table !i in
+    if n = 0 then scanning := false
+    else if
+      Array.unsafe_get var n = v
+      && Array.unsafe_get low n = lo
+      && Array.unsafe_get high n = hi
+    then begin
+      found := n;
+      scanning := false
+    end
+    else i := (!i + 1) land mask
+  done;
+  if !found > 0 then begin
+    Obs.incr c_unique_hits;
+    !found
+  end
   else begin
-    let table = s.utable and mask = s.umask in
-    let var = s.var and low = s.low and high = s.high in
-    let i = ref (mix3 v lo hi land mask) in
-    let found = ref (-1) in
-    let scanning = ref true in
-    while !scanning do
-      let n = Array.unsafe_get table !i in
-      if n = 0 then scanning := false
-      else if
-        Array.unsafe_get var n = v
-        && Array.unsafe_get low n = lo
-        && Array.unsafe_get high n = hi
-      then begin
-        found := n;
-        scanning := false
-      end
-      else i := (!i + 1) land mask
-    done;
-    if !found >= 0 then begin
-      Obs.incr c_unique_hits;
-      !found
-    end
-    else begin
-      Obs.incr c_unique_inserts;
-      if s.n_nodes >= Array.length s.var then grow_nodes s;
-      let n = s.n_nodes in
-      s.var.(n) <- v;
-      s.low.(n) <- lo;
-      s.high.(n) <- hi;
-      s.n_nodes <- n + 1;
-      if man.budget != Budget.unlimited then Budget.check_nodes man.budget (n + 1);
-      Obs.record_max c_nodes_max (n + 1);
-      Array.unsafe_set table !i n;
-      if (s.n_nodes - 2) * 4 > (mask + 1) * 3 then unique_rehash s;
-      n
-    end
+    Obs.incr c_unique_inserts;
+    if s.n_nodes >= Array.length s.var then grow_nodes s;
+    let n = s.n_nodes in
+    s.var.(n) <- v;
+    s.low.(n) <- lo;
+    s.high.(n) <- hi;
+    s.n_nodes <- n + 1;
+    if man.budget != Budget.unlimited then Budget.check_nodes man.budget (n + 1);
+    Obs.record_max c_nodes_max (n + 1);
+    Array.unsafe_set table !i n;
+    if (s.n_nodes - 1) * 4 > (mask + 1) * 3 then unique_rehash s;
+    n
   end
 
-(* Cofactors of [n] w.r.t. variable [v], assuming v <= var(n). *)
-let cofactors_seq s v n =
-  if s.var.(n) = v then (s.low.(n), s.high.(n)) else (n, n)
+(* The handle of (v, lo, hi): a complemented high edge is moved onto
+   the result, (v, lo, ¬hi') = ¬(v, ¬lo, hi'). *)
+let[@inline] mk_seq man s v lo hi =
+  if lo = hi then lo
+  else
+    let c = hi land 1 in
+    (intern_seq man s v (lo lxor c) (hi lxor c) lsl 1) lor c
 
-let rec ite_seq man s f g h =
-  if f = btrue then g
-  else if f = bfalse then h
-  else if g = h then g
-  else if g = btrue && h = bfalse then f
+(* Computed-table probe shared by the three recursions: the cached
+   result, or -1 on a miss. *)
+let[@inline] seq_lookup man s k1 k2 slot =
+  Obs.incr c_ite_calls;
+  if man.budget != Budget.unlimited then Budget.tick man.budget;
+  if Array.unsafe_get s.ck1 slot = k1 && Array.unsafe_get s.ck2 slot = k2 then begin
+    Obs.incr c_ite_hits;
+    Array.unsafe_get s.cres slot
+  end
   else begin
-    Obs.incr c_ite_calls;
-    if man.budget != Budget.unlimited then Budget.tick man.budget;
-    let k1 = (f lsl 31) lor g and k2 = (s.cgen lsl 31) lor h in
-    let slot = mix3 f g h land s.cmask in
-    if Array.unsafe_get s.ck1 slot = k1 && Array.unsafe_get s.ck2 slot = k2 then begin
-      Obs.incr c_ite_hits;
-      Array.unsafe_get s.cres slot
-    end
-    else begin
-      Obs.incr c_ite_misses;
-      let v = min s.var.(f) (min s.var.(g) s.var.(h)) in
-      let f0, f1 = cofactors_seq s v f in
-      let g0, g1 = cofactors_seq s v g in
-      let h0, h1 = cofactors_seq s v h in
-      let r1 = ite_seq man s f1 g1 h1 in
-      let r0 = ite_seq man s f0 g0 h0 in
-      let r = mk_seq man s v r0 r1 in
-      (* The cache may have been resized during the recursion: recompute
-         the slot against the current mask before storing. *)
-      let slot = mix3 f g h land s.cmask in
-      s.ck1.(slot) <- k1;
-      s.ck2.(slot) <- k2;
-      s.cres.(slot) <- r;
-      r
-    end
+    Obs.incr c_ite_misses;
+    -1
+  end
+
+(* The cache may have been resized during the recursion: the slot is
+   recomputed against the current mask before storing. *)
+let[@inline] seq_store s f g k2 k1 r =
+  let slot = mix3 f g k2 land s.cmask in
+  Array.unsafe_set s.ck1 slot k1;
+  Array.unsafe_set s.ck2 slot k2;
+  Array.unsafe_set s.cres slot r
+
+(* f ∧ g. Operands are ordered (f < g) before the cache probe, so both
+   argument orders share one entry. *)
+let rec and_seq man s f g =
+  if f <= 1 then if f = 0 then bfalse else g
+  else if g <= 1 then if g = 0 then bfalse else f
+  else if f = g then f
+  else if f lxor g = 1 then bfalse
+  else if f < g then and_step_seq man s f g
+  else and_step_seq man s g f
+
+and and_step_seq man s f g =
+  let k1 = (f lsl 31) lor g and k2 = tag_and lor (s.cgen lsl 31) in
+  let r = seq_lookup man s k1 k2 (mix3 f g k2 land s.cmask) in
+  if r >= 0 then r
+  else begin
+    let nf = f lsr 1 and ng = g lsr 1 and cf = f land 1 and cg = g land 1 in
+    let vf = Array.unsafe_get s.var nf and vg = Array.unsafe_get s.var ng in
+    let v = imin vf vg in
+    let f0 = if vf = v then Array.unsafe_get s.low nf lxor cf else f in
+    let f1 = if vf = v then Array.unsafe_get s.high nf lxor cf else f in
+    let g0 = if vg = v then Array.unsafe_get s.low ng lxor cg else g in
+    let g1 = if vg = v then Array.unsafe_get s.high ng lxor cg else g in
+    let r1 = and_seq man s f1 g1 in
+    let r0 = and_seq man s f0 g0 in
+    let r = mk_seq man s v r0 r1 in
+    seq_store s f g k2 k1 r;
+    r
+  end
+
+(* f ⊕ g = reg(f) ⊕ reg(g) ⊕ parity: the recursion and its cache see
+   regular operands only. *)
+let rec xor_seq man s f g =
+  let p = (f lxor g) land 1 in
+  let f = f land lnot 1 and g = g land lnot 1 in
+  if f = 0 then g lor p
+  else if g = 0 then f lor p
+  else if f = g then p
+  else if f < g then xor_step_seq man s f g lxor p
+  else xor_step_seq man s g f lxor p
+
+and xor_step_seq man s f g =
+  let k1 = (f lsl 31) lor g and k2 = tag_xor lor (s.cgen lsl 31) in
+  let r = seq_lookup man s k1 k2 (mix3 f g k2 land s.cmask) in
+  if r >= 0 then r
+  else begin
+    let nf = f lsr 1 and ng = g lsr 1 in
+    let vf = Array.unsafe_get s.var nf and vg = Array.unsafe_get s.var ng in
+    let v = imin vf vg in
+    let f0 = if vf = v then Array.unsafe_get s.low nf else f in
+    let f1 = if vf = v then Array.unsafe_get s.high nf else f in
+    let g0 = if vg = v then Array.unsafe_get s.low ng else g in
+    let g1 = if vg = v then Array.unsafe_get s.high ng else g in
+    let r1 = xor_seq man s f1 g1 in
+    let r0 = xor_seq man s f0 g0 in
+    let r = mk_seq man s v r0 r1 in
+    seq_store s f g k2 k1 r;
+    r
+  end
+
+(* ite(f, g, h) reduced to a standard triple: g and h are simplified
+   against f (g = f → 1, h = ¬f → 1, ...), the two-operand forms go to
+   the AND/XOR recursions, and the general case is made f-regular
+   (swapping g and h) and g-regular (complementing g, h and the
+   result). *)
+let rec ite_seq man s f g h =
+  if f <= 1 then if f = 1 then g else h
+  else begin
+    let g = if g lxor f <= 1 then g lxor f lxor 1 else g in
+    let h = if h lxor f <= 1 then h lxor f else h in
+    if g = h then g
+    else if g <= 1 then
+      if g = 1 then and_seq man s (f lxor 1) (h lxor 1) lxor 1
+      else and_seq man s (f lxor 1) h
+    else if h <= 1 then
+      if h = 0 then and_seq man s f g else and_seq man s f (g lxor 1) lxor 1
+    else if g lxor h = 1 then xor_seq man s f h
+    else if f land 1 = 1 then
+      let c = h land 1 in
+      ite_step_seq man s (f lxor 1) (h lxor c) (g lxor c) lxor c
+    else
+      let c = g land 1 in
+      ite_step_seq man s f (g lxor c) (h lxor c) lxor c
+  end
+
+(* f, g regular; f, g, h non-constant. *)
+and ite_step_seq man s f g h =
+  let k1 = (f lsl 31) lor g and k2 = (s.cgen lsl 31) lor h in
+  let r = seq_lookup man s k1 k2 (mix3 f g k2 land s.cmask) in
+  if r >= 0 then r
+  else begin
+    let nf = f lsr 1 and ng = g lsr 1 and nh = h lsr 1 and ch = h land 1 in
+    let vf = Array.unsafe_get s.var nf
+    and vg = Array.unsafe_get s.var ng
+    and vh = Array.unsafe_get s.var nh in
+    let v = imin vf (imin vg vh) in
+    let f0 = if vf = v then Array.unsafe_get s.low nf else f in
+    let f1 = if vf = v then Array.unsafe_get s.high nf else f in
+    let g0 = if vg = v then Array.unsafe_get s.low ng else g in
+    let g1 = if vg = v then Array.unsafe_get s.high ng else g in
+    let h0 = if vh = v then Array.unsafe_get s.low nh lxor ch else h in
+    let h1 = if vh = v then Array.unsafe_get s.high nh lxor ch else h in
+    let r1 = ite_seq man s f1 g1 h1 in
+    let r0 = ite_seq man s f0 g0 h0 in
+    let r = mk_seq man s v r0 r1 in
+    seq_store s f g k2 k1 r;
+    r
   end
 
 (* ---------- shared mk: striped table, cooperative rehash ---------- *)
@@ -572,48 +720,55 @@ let sh_insert_locked man h st hash v lo hi =
   in
   probe (hash land mask)
 
-let mk_shr man h v lo hi =
-  if lo = hi then lo
+(* Find-or-insert of a normalised triple (high regular); returns the
+   node id. *)
+let intern_shr man h v lo hi =
+  let hash = mix3 v lo hi in
+  let st = sh_stripe_of h hash in
+  (* Lock-free probe on the current table. A concurrent rehash can
+     leave us scanning the superseded table; that only ever produces
+     a miss (never a wrong hit — published nodes are immutable), and
+     the locked path below re-probes the live table. *)
+  let tab = Atomic.get st.st_slots in
+  let mask = Array.length tab - 1 in
+  let rec probe i =
+    let n = Atomic.get (Array.unsafe_get tab i) in
+    if n = 0 then 0
+    else if sh_var h n = v && sh_low h n = lo && sh_high h n = hi then n
+    else probe ((i + 1) land mask)
+  in
+  let n = probe (hash land mask) in
+  if n > 0 then begin
+    Obs.incr c_unique_hits;
+    n
+  end
   else begin
-    let hash = mix3 v lo hi in
-    let st = sh_stripe_of h hash in
-    (* Lock-free probe on the current table. A concurrent rehash can
-       leave us scanning the superseded table; that only ever produces
-       a miss (never a wrong hit — published nodes are immutable), and
-       the locked path below re-probes the live table. *)
-    let tab = Atomic.get st.st_slots in
-    let mask = Array.length tab - 1 in
-    let rec probe i =
-      let n = Atomic.get (Array.unsafe_get tab i) in
-      if n = 0 then -1
-      else if sh_var h n = v && sh_low h n = lo && sh_high h n = hi then n
-      else probe ((i + 1) land mask)
-    in
-    let n = probe (hash land mask) in
-    if n > 0 then begin
-      Obs.incr c_unique_hits;
-      n
-    end
-    else begin
-      sh_lock_stripe h st;
-      match sh_insert_locked man h st hash v lo hi with
-      | id ->
-        Mutex.unlock st.st_lock;
-        id
-      | exception e ->
-        (* Budget exhaustion must not leave the stripe locked: other
-           workers still drain their cancellation through [mk]. *)
-        Mutex.unlock st.st_lock;
-        raise e
-    end
+    sh_lock_stripe h st;
+    match sh_insert_locked man h st hash v lo hi with
+    | id ->
+      Mutex.unlock st.st_lock;
+      id
+    | exception e ->
+      (* Budget exhaustion must not leave the stripe locked: other
+         workers still drain their cancellation through [mk]. *)
+      Mutex.unlock st.st_lock;
+      raise e
   end
 
-(* ---------- per-domain ite cache (shared backend) ---------- *)
+(* The same normalisation as [mk_seq]: the complement of a high edge
+   moves onto the result, so both backends intern identical triples. *)
+let[@inline] mk_shr man h v lo hi =
+  if lo = hi then lo
+  else
+    let c = hi land 1 in
+    (intern_shr man h v (lo lxor c) (hi lxor c) lsl 1) lor c
+
+(* ---------- per-domain computed cache (shared backend) ---------- *)
 
 (* One direct-mapped cache per domain, reused across shared managers:
    acquiring it for a different manager (or an incompatible size)
    clears or reallocates it. Keys pack exactly as in the sequential
-   cache; -1 in ck1 never matches a real key (f >= 2).
+   cache; -1 in ck1 never matches a real key (k1 >= 0).
 
    The cache starts small and doubles toward the configured
    2^s_cache_bits as the domain accumulates misses: worker domains are
@@ -667,49 +822,137 @@ let get_dcache h =
     c.d_owner <- h.uid
   end
   else if c.d_misses > (c.d_cmask + 1) * 2 && c.d_cmask + 1 < cap_limit then
-    (* Grow between top-level calls only: ite_shr computes each slot
-       against the mask it reads, so the cache must not resize while a
-       recursion is in flight. Entries are dropped, not rehashed — it
-       is a cache. *)
+    (* Grow between top-level calls only: the shared recursions compute
+       each slot against the mask they read, so the cache must not
+       resize while a recursion is in flight. Entries are dropped, not
+       rehashed — it is a cache. *)
     dcache_alloc c ((c.d_cmask + 1) * 2);
   c
 
-let rec ite_shr man h c gen f g hh =
-  if f = btrue then g
-  else if f = bfalse then hh
-  else if g = hh then g
-  else if g = btrue && hh = bfalse then f
+(* ---------- shared apply: the sequential recursions over the chunked
+   store and the per-domain cache ---------- *)
+
+(* The per-domain cache never resizes mid-call, so the probe-time slot
+   is still valid at store time. Returns -1 on a miss. *)
+let[@inline] shr_lookup man c k1 k2 slot =
+  Obs.incr c_ite_calls;
+  if man.budget != Budget.unlimited then Budget.tick man.budget;
+  if Array.unsafe_get c.d_ck1 slot = k1 && Array.unsafe_get c.d_ck2 slot = k2 then begin
+    Obs.incr c_ite_hits;
+    Array.unsafe_get c.d_cres slot
+  end
   else begin
-    Obs.incr c_ite_calls;
-    if man.budget != Budget.unlimited then Budget.tick man.budget;
-    let k1 = (f lsl 31) lor g and k2 = (gen lsl 31) lor hh in
-    let slot = mix3 f g hh land c.d_cmask in
-    if Array.unsafe_get c.d_ck1 slot = k1 && Array.unsafe_get c.d_ck2 slot = k2
-    then begin
-      Obs.incr c_ite_hits;
-      Array.unsafe_get c.d_cres slot
-    end
-    else begin
-      Obs.incr c_ite_misses;
-      c.d_misses <- c.d_misses + 1;
-      let vf = sh_var h f and vg = sh_var h g and vh = sh_var h hh in
-      let v = min vf (min vg vh) in
-      let f0, f1 = if vf = v then (sh_low h f, sh_high h f) else (f, f) in
-      let g0, g1 = if vg = v then (sh_low h g, sh_high h g) else (g, g) in
-      let h0, h1 = if vh = v then (sh_low h hh, sh_high h hh) else (hh, hh) in
-      let r1 = ite_shr man h c gen f1 g1 h1 in
-      let r0 = ite_shr man h c gen f0 g0 h0 in
-      let r = mk_shr man h v r0 r1 in
-      (* The per-domain cache never resizes mid-call: the slot is
-         still valid here. *)
-      Array.unsafe_set c.d_ck1 slot k1;
-      Array.unsafe_set c.d_ck2 slot k2;
-      Array.unsafe_set c.d_cres slot r;
-      r
-    end
+    Obs.incr c_ite_misses;
+    c.d_misses <- c.d_misses + 1;
+    -1
   end
 
-(* ---------- public mk / ite ---------- *)
+let[@inline] shr_store c slot k1 k2 r =
+  Array.unsafe_set c.d_ck1 slot k1;
+  Array.unsafe_set c.d_ck2 slot k2;
+  Array.unsafe_set c.d_cres slot r
+
+let rec and_shr man h c gen f g =
+  if f <= 1 then if f = 0 then bfalse else g
+  else if g <= 1 then if g = 0 then bfalse else f
+  else if f = g then f
+  else if f lxor g = 1 then bfalse
+  else if f < g then and_step_shr man h c gen f g
+  else and_step_shr man h c gen g f
+
+and and_step_shr man h c gen f g =
+  let k1 = (f lsl 31) lor g and k2 = tag_and lor (gen lsl 31) in
+  let slot = mix3 f g k2 land c.d_cmask in
+  let r = shr_lookup man c k1 k2 slot in
+  if r >= 0 then r
+  else begin
+    let nf = f lsr 1 and ng = g lsr 1 and cf = f land 1 and cg = g land 1 in
+    let vf = sh_var h nf and vg = sh_var h ng in
+    let v = imin vf vg in
+    let f0 = if vf = v then sh_low h nf lxor cf else f in
+    let f1 = if vf = v then sh_high h nf lxor cf else f in
+    let g0 = if vg = v then sh_low h ng lxor cg else g in
+    let g1 = if vg = v then sh_high h ng lxor cg else g in
+    let r1 = and_shr man h c gen f1 g1 in
+    let r0 = and_shr man h c gen f0 g0 in
+    let r = mk_shr man h v r0 r1 in
+    shr_store c slot k1 k2 r;
+    r
+  end
+
+let rec xor_shr man h c gen f g =
+  let p = (f lxor g) land 1 in
+  let f = f land lnot 1 and g = g land lnot 1 in
+  if f = 0 then g lor p
+  else if g = 0 then f lor p
+  else if f = g then p
+  else if f < g then xor_step_shr man h c gen f g lxor p
+  else xor_step_shr man h c gen g f lxor p
+
+and xor_step_shr man h c gen f g =
+  let k1 = (f lsl 31) lor g and k2 = tag_xor lor (gen lsl 31) in
+  let slot = mix3 f g k2 land c.d_cmask in
+  let r = shr_lookup man c k1 k2 slot in
+  if r >= 0 then r
+  else begin
+    let nf = f lsr 1 and ng = g lsr 1 in
+    let vf = sh_var h nf and vg = sh_var h ng in
+    let v = imin vf vg in
+    let f0 = if vf = v then sh_low h nf else f in
+    let f1 = if vf = v then sh_high h nf else f in
+    let g0 = if vg = v then sh_low h ng else g in
+    let g1 = if vg = v then sh_high h ng else g in
+    let r1 = xor_shr man h c gen f1 g1 in
+    let r0 = xor_shr man h c gen f0 g0 in
+    let r = mk_shr man h v r0 r1 in
+    shr_store c slot k1 k2 r;
+    r
+  end
+
+let rec ite_shr man h c gen f g hh =
+  if f <= 1 then if f = 1 then g else hh
+  else begin
+    let g = if g lxor f <= 1 then g lxor f lxor 1 else g in
+    let hh = if hh lxor f <= 1 then hh lxor f else hh in
+    if g = hh then g
+    else if g <= 1 then
+      if g = 1 then and_shr man h c gen (f lxor 1) (hh lxor 1) lxor 1
+      else and_shr man h c gen (f lxor 1) hh
+    else if hh <= 1 then
+      if hh = 0 then and_shr man h c gen f g
+      else and_shr man h c gen f (g lxor 1) lxor 1
+    else if g lxor hh = 1 then xor_shr man h c gen f hh
+    else if f land 1 = 1 then
+      let p = hh land 1 in
+      ite_step_shr man h c gen (f lxor 1) (hh lxor p) (g lxor p) lxor p
+    else
+      let p = g land 1 in
+      ite_step_shr man h c gen f (g lxor p) (hh lxor p) lxor p
+  end
+
+and ite_step_shr man h c gen f g hh =
+  let k1 = (f lsl 31) lor g and k2 = (gen lsl 31) lor hh in
+  let slot = mix3 f g k2 land c.d_cmask in
+  let r = shr_lookup man c k1 k2 slot in
+  if r >= 0 then r
+  else begin
+    let nf = f lsr 1 and ng = g lsr 1 and nh = hh lsr 1 and ch = hh land 1 in
+    let vf = sh_var h nf and vg = sh_var h ng and vh = sh_var h nh in
+    let v = imin vf (imin vg vh) in
+    let f0 = if vf = v then sh_low h nf else f in
+    let f1 = if vf = v then sh_high h nf else f in
+    let g0 = if vg = v then sh_low h ng else g in
+    let g1 = if vg = v then sh_high h ng else g in
+    let h0 = if vh = v then sh_low h nh lxor ch else hh in
+    let h1 = if vh = v then sh_high h nh lxor ch else hh in
+    let r1 = ite_shr man h c gen f1 g1 h1 in
+    let r0 = ite_shr man h c gen f0 g0 h0 in
+    let r = mk_shr man h v r0 r1 in
+    shr_store c slot k1 k2 r;
+    r
+  end
+
+(* ---------- public mk / apply ---------- *)
 
 let mk man v lo hi =
   match man.tab with Seq s -> mk_seq man s v lo hi | Shr h -> mk_shr man h v lo hi
@@ -717,12 +960,17 @@ let mk man v lo hi =
 let ite man f g h =
   match man.tab with
   | Seq s -> ite_seq man s f g h
-  | Shr hh ->
-    if f = btrue then g
-    else if f = bfalse then h
-    else if g = h then g
-    else if g = btrue && h = bfalse then f
-    else ite_shr man hh (get_dcache hh) (Atomic.get hh.sgen) f g h
+  | Shr sh -> ite_shr man sh (get_dcache sh) (Atomic.get sh.sgen) f g h
+
+let band man f g =
+  match man.tab with
+  | Seq s -> and_seq man s f g
+  | Shr sh -> and_shr man sh (get_dcache sh) (Atomic.get sh.sgen) f g
+
+let bxor man f g =
+  match man.tab with
+  | Seq s -> xor_seq man s f g
+  | Shr sh -> xor_shr man sh (get_dcache sh) (Atomic.get sh.sgen) f g
 
 let var man v =
   if v < 0 || v >= man.nvars then invalid_arg "Bdd.var: out of range";
@@ -732,14 +980,12 @@ let nvar man v =
   if v < 0 || v >= man.nvars then invalid_arg "Bdd.nvar: out of range";
   mk man v btrue bfalse
 
-let bnot man f = ite man f bfalse btrue
-let band man f g = ite man f g bfalse
-let bor man f g = ite man f btrue g
-let bxor man f g = ite man f (bnot man g) g
-let bnand man f g = bnot man (band man f g)
-let bnor man f g = bnot man (bor man f g)
-let bxnor man f g = bnot man (bxor man f g)
-let bimply man f g = ite man f g btrue
+let bnot _man f = f lxor 1
+let bor man f g = band man (f lxor 1) (g lxor 1) lxor 1
+let bnand man f g = band man f g lxor 1
+let bnor man f g = band man (f lxor 1) (g lxor 1)
+let bxnor man f g = bxor man f g lxor 1
+let bimply man f g = band man f (g lxor 1) lxor 1
 
 let band_list man = List.fold_left (band man) btrue
 let bor_list man = List.fold_left (bor man) bfalse
@@ -752,48 +998,53 @@ let rec eval man f assignment =
 
 (* Bit-parallel evaluation: [var_words.(v)] packs variable v across
    patterns, one per bit; the result packs f across the same patterns.
-   One memoized DAG walk replaces a per-pattern descent. *)
+   One memoized walk over the nodes (a complemented edge inverts the
+   word) replaces a per-pattern descent. *)
 let eval_vec man f var_words =
   if Array.length var_words <> man.nvars then
     invalid_arg "Bdd.eval_vec: wrong number of variable words";
   let memo : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  let rec go n =
-    if n = bfalse then 0
-    else if n = btrue then -1
-    else
-      match Hashtbl.find_opt memo n with
-      | Some w -> w
-      | None ->
-        let vw = var_words.(ivar man n) in
-        let hi = go (ihigh man n) in
-        let lo = go (ilow man n) in
-        let w = vw land hi lor (lnot vw land lo) in
-        Hashtbl.add memo n w;
-        w
+  let rec go f =
+    let w = if f < 2 then 0 else node (f land lnot 1) in
+    if f land 1 = 1 then lnot w else w
+  and node n =
+    match Hashtbl.find_opt memo n with
+    | Some w -> w
+    | None ->
+      let vw = var_words.(ivar man n) in
+      let hi = go (ihigh man n) in
+      let lo = go (ilow man n) in
+      let w = vw land hi lor (lnot vw land lo) in
+      Hashtbl.add memo n w;
+      w
   in
   go f
 
-(* Every published node, in id order. In shared mode this is meaningful
-   only at quiescence (no concurrent inserts): ids claimed but never
-   published (a budget raise between claim and field writes) read as
-   all-zero triples and are skipped via lo = hi, which no reduced node
-   can exhibit. *)
+(* Every published node, in id order, as its regular handle and its
+   stored fields (a possibly complemented low edge, a regular high
+   edge). In shared mode this is meaningful only at quiescence (no
+   concurrent inserts): ids claimed but never published (a budget raise
+   between claim and field writes) read as all-zero triples and are
+   skipped via lo = hi, which no reduced node can exhibit. *)
 let iter_nodes man fn =
   match man.tab with
   | Seq s ->
-    for n = 2 to s.n_nodes - 1 do
-      fn n s.var.(n) s.low.(n) s.high.(n)
+    for n = 1 to s.n_nodes - 1 do
+      fn (n lsl 1) s.var.(n) s.low.(n) s.high.(n)
     done
   | Shr h ->
     let stop = Atomic.get h.next in
-    for n = 2 to stop - 1 do
+    for n = 1 to stop - 1 do
       let lo = sh_low h n and hi = sh_high h n in
-      if lo <> hi then fn n (sh_var h n) lo hi
+      if lo <> hi then fn (n lsl 1) (sh_var h n) lo hi
     done
 
+(* Distinct nodes reachable from [f] (a node and its complement are one
+   node), plus the terminal. *)
 let size man f =
   let seen = Hashtbl.create 64 in
-  let rec walk n =
+  let rec walk f =
+    let n = f land lnot 1 in
     if not (is_terminal n || Hashtbl.mem seen n) then begin
       Hashtbl.add seen n ();
       walk (ilow man n);
@@ -801,12 +1052,13 @@ let size man f =
     end
   in
   walk f;
-  Hashtbl.length seen + 2
+  Hashtbl.length seen + 1
 
 let support man f =
   let seen = Hashtbl.create 64 in
   let vars = Array.make man.nvars false in
-  let rec walk n =
+  let rec walk f =
+    let n = f land lnot 1 in
     if not (is_terminal n || Hashtbl.mem seen n) then begin
       Hashtbl.add seen n ();
       vars.(ivar man n) <- true;
@@ -949,11 +1201,189 @@ let cube_with man cube inputs =
       band man acc lit)
     btrue (Logic2.Cube.literals cube)
 
-let cover_with man cover inputs =
+let sop_with man cover inputs =
   List.fold_left
     (fun acc c -> bor man acc (cube_with man c inputs))
     bfalse
     (Logic2.Cover.cubes cover)
+
+(* ---------- compiled cell elaboration ---------- *)
+
+(* A cover over k <= 5 variables has a 2^k-bit truth table, which fits
+   one int (a 6-variable table needs 64 bits, one more than an OCaml
+   int holds). [cover_with] turns such a table into a straight-line
+   program once — a Shannon decomposition that splits, at each level,
+   on the variable needing the fewest steps — and replays it per gate, so EO is one XOR, MUX21 one ITE and ND2 one AND
+   over complemented handles instead of a fold of ANDs and ORs. Larger
+   covers keep the SOP fold. The result is the same handle either way
+   (the BDD is canonical); only the number of apply steps differs.
+
+   Program registers hold handles: register 0 is [bfalse], registers
+   1..k the inputs, and step i writes register k + 1 + i. Operands are
+   literals [(reg lsl 1) lor c] with the handle encoding's complement
+   bit, so reading one is [regs.(l lsr 1) lxor (l land 1)]. *)
+let compiled_max_vars = 5
+
+type program = {
+  p_nvars : int;
+  p_code : int array; (* stride 4: opcode, then operand literals a b c *)
+  p_out : int; (* literal of the result *)
+}
+
+let op_and = 0
+let op_xor = 1
+let op_ite = 2
+
+(* Truth-table mask of variable v: row j of a table assigns bit v of j. *)
+let tt_var_masks = [| 0xAAAAAAAA; 0xCCCCCCCC; 0xF0F0F0F0; 0xFF00FF00; 0xFFFF0000 |]
+
+let truth_of_cover k cover =
+  let full = (1 lsl (1 lsl k)) - 1 in
+  List.fold_left
+    (fun acc cube ->
+      let m = ref full in
+      for v = 0 to k - 1 do
+        match Logic2.Cube.polarity cube v with
+        | Logic2.Cube.Pos -> m := !m land tt_var_masks.(v)
+        | Logic2.Cube.Neg -> m := !m land lnot tt_var_masks.(v)
+        | Logic2.Cube.Absent -> ()
+      done;
+      acc lor !m)
+    0 (Logic2.Cover.cubes cover)
+
+let compile k tt =
+  let full = (1 lsl (1 lsl k)) - 1 in
+  let cof t v b =
+    let m = tt_var_masks.(v) land full and shift = 1 lsl v in
+    if b then
+      let c = t land m in
+      c lor (c lsr shift)
+    else
+      let c = t land lnot m in
+      c lor (c lsl shift)
+  in
+  (* Tables that cost no step: constants and (negated) inputs. *)
+  let leaf t =
+    if t = 0 then Some bfalse
+    else if t = full then Some btrue
+    else begin
+      let r = ref None in
+      for v = k - 1 downto 0 do
+        let m = tt_var_masks.(v) land full in
+        if t = m then r := Some ((v + 1) lsl 1)
+        else if t = full lxor m then r := Some (((v + 1) lsl 1) lor 1)
+      done;
+      !r
+    end
+  in
+  (* Steps to build [t] by Shannon splits, each split one AND (a
+     constant cofactor), one XOR (complementary cofactors) or one ITE.
+     Negation is free, so t and ¬t share one memo entry. *)
+  let costs = Hashtbl.create 64 in
+  let rec cost t =
+    if leaf t <> None then 0
+    else begin
+      let key = imin t (full lxor t) in
+      match Hashtbl.find_opt costs key with
+      | Some c -> c
+      | None ->
+        let c = split_cost t (best_split t) in
+        Hashtbl.add costs key c;
+        c
+    end
+  and split_cost t v =
+    let c0 = cof t v false and c1 = cof t v true in
+    if c0 = c1 then max_int
+    else if c0 = 0 || c0 = full then 1 + cost c1
+    else if c1 = 0 || c1 = full || c1 = full lxor c0 then 1 + cost c0
+    else 1 + cost c0 + cost c1
+  and best_split t =
+    let best = ref (-1) and best_cost = ref max_int in
+    for v = 0 to k - 1 do
+      let c = split_cost t v in
+      if c < !best_cost then begin
+        best := v;
+        best_cost := c
+      end
+    done;
+    !best
+  in
+  let code = ref [] and nsteps = ref 0 in
+  let step op a b c =
+    code := c :: b :: a :: op :: !code;
+    incr nsteps;
+    (k + !nsteps) lsl 1
+  in
+  (* Emitted sub-tables are reused, in either polarity. *)
+  let emitted = Hashtbl.create 16 in
+  let rec emit t =
+    match leaf t with
+    | Some l -> l
+    | None -> (
+      match Hashtbl.find_opt emitted t with
+      | Some l -> l
+      | None ->
+        let v = best_split t in
+        let x = (v + 1) lsl 1 in
+        let c0 = cof t v false and c1 = cof t v true in
+        let l =
+          if c0 = 0 then step op_and x (emit c1) 0
+          else if c0 = full then step op_and x (emit c1 lxor 1) 0 lxor 1
+          else if c1 = 0 then step op_and (x lxor 1) (emit c0) 0
+          else if c1 = full then step op_and (x lxor 1) (emit c0 lxor 1) 0 lxor 1
+          else if c1 = full lxor c0 then step op_xor x (emit c0) 0
+          else
+            let hi = emit c1 in
+            let lo = emit c0 in
+            step op_ite x hi lo
+        in
+        Hashtbl.add emitted t l;
+        Hashtbl.add emitted (full lxor t) (l lxor 1);
+        l)
+  in
+  let out = emit tt in
+  { p_nvars = k; p_code = Array.of_list (List.rev !code); p_out = out }
+
+let run_program man p inputs =
+  let code = p.p_code and k = p.p_nvars in
+  let regs = Array.make (k + 1 + (Array.length code / 4)) bfalse in
+  Array.blit inputs 0 regs 1 k;
+  for i = 0 to (Array.length code / 4) - 1 do
+    let a = code.((4 * i) + 1) and b = code.((4 * i) + 2) in
+    let fa = regs.(a lsr 1) lxor (a land 1) and fb = regs.(b lsr 1) lxor (b land 1) in
+    let op = code.(4 * i) in
+    regs.(k + 1 + i) <-
+      (if op = op_and then band man fa fb
+       else if op = op_xor then bxor man fa fb
+       else
+         let c = code.((4 * i) + 3) in
+         ite man fa fb (regs.(c lsr 1) lxor (c land 1)))
+  done;
+  regs.(p.p_out lsr 1) lxor (p.p_out land 1)
+
+(* Compiled programs by (arity, truth table), one table per domain so
+   concurrent elaboration needs no lock. A netlist uses a few dozen
+   distinct tables; the bound only guards against adversarial input. *)
+let max_programs = 4096
+
+let programs_key : (int, program) Hashtbl.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Hashtbl.create 64)
+
+let program_of k tt =
+  let memo = Domain.DLS.get programs_key in
+  let key = (tt lsl 3) lor k in
+  match Hashtbl.find_opt memo key with
+  | Some p -> p
+  | None ->
+    if Hashtbl.length memo >= max_programs then Hashtbl.reset memo;
+    let p = compile k tt in
+    Hashtbl.add memo key p;
+    p
+
+let cover_with man cover inputs =
+  let k = Logic2.Cover.num_vars cover in
+  if k > compiled_max_vars then sop_with man cover inputs
+  else run_program man (program_of k (truth_of_cover k cover)) inputs
 
 (* Direct encodings where cover variable i is BDD variable i. *)
 let of_cube man cube =

@@ -1,5 +1,20 @@
-(** Reduced ordered BDDs. Handles are valid only with the manager that
-    created them; equal handles denote equal functions. *)
+(** Reduced ordered BDDs with complement edges. Handles are valid only
+    with the manager that created them; equal handles denote equal
+    functions.
+
+    {b Handle encoding.} A handle is [(node lsl 1) lor c]: bit 0 is the
+    complement flag and the remaining bits name a node. Node 0 is the
+    only terminal and denotes false, so [bfalse = 0] and [btrue = 1].
+    Every other node stores [(var, low, high)] with [low] a possibly
+    complemented handle and [high] always regular (even); a handle with
+    bit 0 set denotes the negation of its node's function. The encoding
+    is canonical, so [bnot] is [lxor 1]: O(1), and it allocates no node.
+    Both backends ([create] and [create_shared]) use this encoding.
+
+    {!var_of}, {!low_of} and {!high_of} return the {e cofactors} of a
+    handle (complement flag propagated), so code that walks a BDD only
+    through them sees the plain ROBDD of the function. {!iter_nodes}
+    instead exposes the stored fields. *)
 
 type t = private int
 type man
@@ -26,17 +41,20 @@ val is_shared : man -> bool
 
 val nvars : man -> int
 val num_nodes : man -> int
-(** Total nodes allocated in the manager (a growth diagnostic). *)
+(** Total nodes allocated in the manager, the terminal included (a
+    growth diagnostic). *)
 
 val unique_capacity : man -> int
 (** Slots in the open-addressing unique table (a power of two). *)
 
 val cache_capacity : man -> int
-(** Entries in the direct-mapped ite computed-table (a power of two). *)
+(** Entries in the direct-mapped computed table (a power of two); AND,
+    XOR and ITE results share it. *)
 
 val set_budget : man -> Budget.t -> unit
 (** Govern this manager: node allocation checks the node quota and each
-    [ite] call ticks the operation/deadline/cancellation budget, raising
+    apply step (AND, XOR or ITE; the steps counted by [bdd.ite.calls])
+    ticks the operation/deadline/cancellation budget, raising
     [Budget.Budget_exceeded] on exhaustion. The default is
     [Budget.unlimited], under which every check is a single
     physical-equality test. *)
@@ -44,7 +62,7 @@ val set_budget : man -> Budget.t -> unit
 val budget : man -> Budget.t
 
 val clear_caches : man -> unit
-(** Drop every ite computed-table entry in O(1) (generation bump). The
+(** Drop every computed-table entry in O(1) (generation bump). The
     node store and unique table are untouched; results of subsequent
     operations are unchanged — only their cost. *)
 
@@ -52,12 +70,21 @@ val var : man -> int -> t
 val nvar : man -> int -> t
 
 val var_of : man -> t -> int
+(** Top variable of the handle's node; [nvars] for a constant. *)
+
 val low_of : man -> t -> t
+(** Negative cofactor with respect to [var_of]: the node's low edge,
+    complemented when the handle is. A constant is its own cofactor. *)
+
 val high_of : man -> t -> t
+(** Positive cofactor with respect to [var_of], like {!low_of}. *)
+
 val is_terminal : t -> bool
 
 val ite : man -> t -> t -> t -> t
 val bnot : man -> t -> t
+(** [lxor 1] on the handle: no traversal, no node. *)
+
 val band : man -> t -> t -> t
 val bor : man -> t -> t -> t
 val bxor : man -> t -> t -> t
@@ -79,11 +106,14 @@ val eval_vec : man -> t -> int array -> int
 
 val iter_nodes : man -> (t -> int -> t -> t -> unit) -> unit
 (** [iter_nodes man f] calls [f handle var low high] for every interned
-    (non-terminal) node, in handle order. On a shared manager this is
-    meaningful only at quiescence (no concurrent inserts). *)
+    (non-terminal) node, in node order: [handle] is the node's regular
+    (even) handle and [low]/[high] are its stored edges — [high] is
+    always regular, [low] may be complemented. On a shared manager this
+    is meaningful only at quiescence (no concurrent inserts). *)
 
 val size : man -> t -> int
-(** Nodes reachable from the root, terminals included. *)
+(** Distinct nodes reachable from the root (a node reached through
+    both polarities counts once), the terminal included. *)
 
 val support : man -> t -> bool array
 
@@ -104,5 +134,10 @@ val cube_with : man -> Logic2.Cube.t -> t array -> t
     [inputs.(v)] — i.e. the cube evaluated on arbitrary signals. *)
 
 val cover_with : man -> Logic2.Cover.t -> t array -> t
+(** The cover with its variable [v] standing for [inputs.(v)]. A cover
+    of at most 5 variables is compiled once per distinct truth table
+    into a short AND/XOR/ITE program and replayed; a larger one is
+    folded cube by cube. The handle is the same either way. *)
+
 val of_cube : man -> Logic2.Cube.t -> t
 val of_cover : man -> Logic2.Cover.t -> t

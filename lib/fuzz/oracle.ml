@@ -122,12 +122,19 @@ let spcf_equal ~rng:_ ~budget net =
    block with one memoized DAG walk per signal ([Bdd.eval_vec]). The
    scalar [Network.eval] reference then cross-checks every pattern when
    the space is small, one pattern per block otherwise — the word
-   comparison has already pinned bitsim = bdd on all of them. *)
+   comparison has already pinned bitsim = bdd on all of them. The
+   network is elaborated on both BDD backends (sequential and shared),
+   and both answer every word. *)
 let bdd_vs_sim ~rng:_ ~budget net =
   let n = Array.length (Network.inputs net) in
   if n > 12 then Skip "too many inputs for exhaustive comparison"
   else begin
-    let man, funcs = Network.to_bdds ~budget net in
+    let elaborations =
+      [
+        ("seq", Network.to_bdds ~budget net);
+        ("shared", Network.to_bdds ~budget ~shared:true net);
+      ]
+    in
     let sim = Bitsim.prepare net in
     let nsig = Network.num_signals net in
     let npat = 1 lsl n in
@@ -149,25 +156,37 @@ let bdd_vs_sim ~rng:_ ~budget net =
       let words = Bitsim.eval_word sim pi_words in
       let report s b =
         let env = Array.init n (fun v -> (lo + b) lsr v land 1 = 1) in
-        failf "signal %s pattern %d: eval=%b bitsim=%b bdd=%b"
+        let bdds =
+          List.map
+            (fun (name, (man, funcs)) ->
+              Printf.sprintf "bdd(%s)=%b" name (Bdd.eval man funcs.(s) env))
+            elaborations
+        in
+        failf "signal %s pattern %d: eval=%b bitsim=%b %s"
           (Network.name_of net s) (lo + b)
           (Network.eval net env).(s)
           (words.(s) lsr b land 1 = 1)
-          (Bdd.eval man funcs.(s) env)
+          (String.concat " " bdds)
       in
-      (* Word-parallel: all 62 patterns of every signal at once. *)
-      for s = 0 to nsig - 1 do
-        if !result = Pass then begin
-          let diff = (Bdd.eval_vec man funcs.(s) pi_words lxor words.(s)) land mask in
-          if diff <> 0 then begin
-            let b = ref 0 in
-            while diff lsr !b land 1 = 0 do
-              incr b
-            done;
-            result := report s !b
-          end
-        end
-      done;
+      (* Word-parallel: all 62 patterns of every signal at once, on
+         each backend. *)
+      List.iter
+        (fun (_, (man, funcs)) ->
+          for s = 0 to nsig - 1 do
+            if !result = Pass then begin
+              let diff =
+                (Bdd.eval_vec man funcs.(s) pi_words lxor words.(s)) land mask
+              in
+              if diff <> 0 then begin
+                let b = ref 0 in
+                while diff lsr !b land 1 = 0 do
+                  incr b
+                done;
+                result := report s !b
+              end
+            end
+          done)
+        elaborations;
       (* Scalar reference cross-check. *)
       let scalar_checks = if !result = Pass then if n <= 8 then cnt else 1 else 0 in
       for b = 0 to scalar_checks - 1 do

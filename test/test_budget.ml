@@ -179,13 +179,13 @@ let verify_clean what m =
 let test_synthesis_node_fallback () =
   let net = Suite.network (Suite.find "x2") in
   (* The op quota sits between the cost of a full node-based synthesis
-     (~8.2k ite calls on x2) and of a path-based one (~9.1k), so the
+     (~5.2k apply steps on x2) and of a path-based one (~5.4k), so the
      exact tier exhausts and the node-based rerun completes. *)
   let options =
     {
       Masking.Synthesis.default_options with
       algorithm = Masking.Synthesis.Path_based;
-      budget = { Budget.no_limits with Budget.max_ops = Some 8_700 };
+      budget = { Budget.no_limits with Budget.max_ops = Some 5_300 };
     }
   in
   let m = Masking.Synthesis.synthesize ~options net in

@@ -1,7 +1,7 @@
 (* Tests for the incremental/ECO recompute engine: cone-dirtying rules
    on hand-built fixtures, full-vs-incremental canonical identity,
-   snapshot round-trip, jobs byte-identity, and physical reuse of
-   out-of-cone SPCF handles. The randomized counterpart is the
+   snapshot round-trip, pinned emask-eco/1 bytes, jobs byte-identity,
+   and physical reuse of out-of-cone SPCF handles. The randomized counterpart is the
    eco-equal differential fuzz oracle. *)
 
 let check = Alcotest.(check bool)
@@ -151,6 +151,22 @@ let test_snapshot_roundtrip () =
   check_string "recompute from deserialized snapshot" (Eco.canonical full)
     (Eco.canonical incr)
 
+(* Pinned emask-eco/1 bytes of a C432 snapshot (theta 0.5, band 0.6).
+   The persisted format is a function of the analysis, never of the BDD
+   kernel's node encoding, so a fresh snapshot must serialize to
+   exactly these bytes and a deserialized one must write them back
+   unchanged. *)
+let pinned_c432 = "fixtures/c432_theta05_band06.eco"
+
+let test_format_pinned () =
+  let pinned = In_channel.with_open_bin pinned_c432 In_channel.input_all in
+  let d = Eco.design_of_mapped (Mapper.map (Suite.load "C432")) in
+  let t = Eco.snapshot ~theta:0.5 ~band:0.6 d in
+  check_string "fresh snapshot matches the pinned bytes" pinned (Eco.serialize t);
+  let t' = Eco.deserialize pinned in
+  check_string "pinned bytes round-trip" pinned (Eco.serialize t');
+  check_string "round-trip canonical form" (Eco.canonical t) (Eco.canonical t')
+
 (* --- jobs byte-identity ------------------------------------------------- *)
 
 let test_jobs_identity () =
@@ -259,6 +275,8 @@ let () =
         [
           Alcotest.test_case "full vs incremental" `Quick test_full_vs_incremental;
           Alcotest.test_case "snapshot round-trip" `Quick test_snapshot_roundtrip;
+          Alcotest.test_case "emask-eco/1 bytes pinned (C432)" `Quick
+            test_format_pinned;
           Alcotest.test_case "jobs byte-identity" `Quick test_jobs_identity;
           Alcotest.test_case "sigma handle reuse" `Quick test_sigma_handle_reused;
         ] );

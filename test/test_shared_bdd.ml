@@ -2,9 +2,11 @@
    interleaved inserts and lookups of overlapping cones into one unique
    table, and the table must stay canonical — no duplicate
    (var, low, high) triple, handles stable across stripe growth, every
-   domain agreeing on the handle of every function. On top of the raw
-   core, the jobs knob of the shared-manager SPCF/synthesis path must
-   not change a single output byte over the fuzzed-circuit corpus. *)
+   domain agreeing on the handle of every function, compiled cell
+   elaboration agreeing with the SOP fold from every domain. On top of
+   the raw core, the jobs knob of the shared-manager SPCF/synthesis
+   path must not change a single output byte over the fuzzed-circuit
+   corpus. *)
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -59,14 +61,19 @@ let pool =
 
 (* ---------- table invariants ---------- *)
 
-(* Walk every published node once: no duplicate triples, children
+(* Walk every published node once: no duplicate triples, high edges
+   regular (the complement-edge normal form of bdd.mli), children
    ordered below their parent in the variable order, and every child
-   either terminal or itself a published node. *)
+   either terminal or, stripped of its complement bit, itself a
+   published node. *)
 let assert_canonical man =
   let seen = Hashtbl.create 4096 in
   let ids = Hashtbl.create 4096 in
+  let regular c = (c : Bdd.t :> int) land lnot 1 in
   Bdd.iter_nodes man (fun n v lo hi ->
       Hashtbl.replace ids (n : Bdd.t :> int) ();
+      check "node handle regular" true (regular n = (n :> int));
+      check "high edge regular" true (regular hi = (hi :> int));
       check "reduced (low <> high)" true ((lo :> int) <> (hi :> int));
       check "variable in range" true (v >= 0 && v < Bdd.nvars man);
       (match Hashtbl.find_opt seen (v, (lo :> int), (hi :> int)) with
@@ -82,8 +89,7 @@ let assert_canonical man =
      checks run in a second pass with the full id set known. *)
   Bdd.iter_nodes man (fun _ v lo hi ->
       let child_ok c =
-        Bdd.is_terminal c
-        || (Bdd.var_of man c > v && Hashtbl.mem ids (c : Bdd.t :> int))
+        Bdd.is_terminal c || (Bdd.var_of man c > v && Hashtbl.mem ids (regular c))
       in
       check "low child published and ordered" true (child_ok lo);
       check "high child published and ordered" true (child_ok hi))
@@ -212,6 +218,35 @@ let test_shared_node_wall () =
   check "allocation stopped at the wall (plus in-flight claims)" true
     (Bdd.num_nodes man <= quota + (2 * ndomains))
 
+(* Compiled cell elaboration from several domains at once: each domain
+   compiles the Cell.all covers into its own program table and replays
+   them on the shared manager, and every domain must land on the
+   handle the cube-by-cube SOP fold gives. *)
+let test_cells_concurrent () =
+  let man = Bdd.create_shared ~nvars () in
+  let inputs =
+    Array.of_list (List.map (build man) (List.filteri (fun i _ -> i < 4) pool))
+  in
+  let elaborate () =
+    List.map (fun (c : Cell.t) -> Bdd.cover_with man c.Cell.logic inputs) Cell.all
+  in
+  let results = spawn_all (Array.init 4 (fun _ () -> elaborate ())) in
+  let fold (c : Cell.t) =
+    List.fold_left
+      (fun acc cube -> Bdd.bor man acc (Bdd.cube_with man cube inputs))
+      Bdd.bfalse
+      (Logic2.Cover.cubes c.Cell.logic)
+  in
+  let expected = List.map fold Cell.all in
+  Array.iteri
+    (fun d handles ->
+      check
+        (Printf.sprintf "domain %d: compiled cells = SOP fold" d)
+        true
+        (List.equal (fun (a : Bdd.t) b -> a = b) handles expected))
+    results;
+  assert_canonical man
+
 (* ---------- jobs byte-identity over the fuzzed corpus ---------- *)
 
 let corpus =
@@ -289,6 +324,8 @@ let () =
             test_clear_caches_shared;
           Alcotest.test_case "node wall on the shared table" `Quick
             test_shared_node_wall;
+          Alcotest.test_case "compiled cells from concurrent domains" `Quick
+            test_cells_concurrent;
         ] );
       ( "jobs-identity",
         [
