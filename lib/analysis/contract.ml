@@ -51,12 +51,13 @@ let check_mux_insertion (m : Synthesis.t) =
     m
 
 (* BDDs of the combined and original circuits in the SPCF manager (the
-   input orders agree by construction). *)
+   input orders agree by construction); the original circuit's are the
+   context's own functions. *)
 let elaborate_pair (m : Synthesis.t) =
-  let man = m.Synthesis.ctx.Spcf.Ctx.man in
+  let ctx = m.Synthesis.ctx in
+  let man = ctx.Spcf.Ctx.man in
   let cf = Synthesis.bdds_in_man man (Mapped.network m.Synthesis.combined) in
-  let of_ = Synthesis.bdds_in_man man (Mapped.network m.Synthesis.original) in
-  (man, cf, of_)
+  (man, cf, ctx.Spcf.Ctx.funcs)
 
 let is_err_output name =
   String.length name >= 5 && String.sub name (String.length name - 5) 5 = "__err"

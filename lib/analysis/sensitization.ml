@@ -285,41 +285,14 @@ let analyze_ctx ?(band = 0.1) ?(max_paths = 4096) ?jobs ctx =
       let enum = Paths.enumerate ~band ~max_paths ctx.Spcf.Ctx.sta in
       let net = Spcf.Ctx.network ctx in
       let npis = Array.length (Network.inputs net) in
-      let parr = Array.of_list enum.Paths.paths in
-      let n = Array.length parr in
-      (* A sequential manager is not safe to grow from worker domains:
-         parallel classification requires a shared-manager context. *)
-      let k = if Bdd.is_shared ctx.Spcf.Ctx.man then min jobs (max n 1) else 1 in
+      (* Verdicts are a per-path pure function, so the merged list is
+         byte-identical for every [jobs]. Workers never raise — budget
+         exhaustion is a per-path [Unknown] verdict, not a team
+         failure. *)
       let classified =
-        if k <= 1 then begin
-          let cache = Hashtbl.create 64 in
-          Array.to_list (Array.map (classify_one ~cache ctx ~npis) parr)
-        end
-        else begin
-          Spcf.Ctx.prewarm_primes ctx;
-          (* Round-robin chunks, results re-interleaved into path
-             order: verdicts are a per-path pure function, so the
-             merged list is byte-identical for every [jobs]. Workers
-             never return [Error] — budget exhaustion is a per-path
-             [Unknown] verdict, not a team failure. *)
-          let worker j =
+        Spcf.Parallel.map ctx ~jobs (Array.of_list enum.Paths.paths) (fun chunk ->
             let cache = Hashtbl.create 64 in
-            let out = ref [] and i = ref j in
-            while !i < n do
-              out := classify_one ~cache ctx ~npis parr.(!i) :: !out;
-              i := !i + k
-            done;
-            Ok (List.rev !out)
-          in
-          Spcf.Parallel.fanout ~k ~worker ~commit:(fun per_domain ->
-              let merged = Array.make n None in
-              Array.iteri
-                (fun j lst ->
-                  List.iteri (fun p r -> merged.(j + (p * k)) <- Some r) lst)
-                per_domain;
-              Array.to_list merged
-              |> List.map (function Some r -> r | None -> assert false))
-        end
+            Array.to_list (Array.map (classify_one ~cache ctx ~npis) chunk))
       in
       make_report ctx ~jobs enum classified)
 

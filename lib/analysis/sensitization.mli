@@ -72,9 +72,9 @@ val analyze :
     [Invalid_argument] on [band] outside [[0, 1]] or [max_paths < 1]. *)
 
 val analyze_ctx : ?band:float -> ?max_paths:int -> ?jobs:int -> Spcf.Ctx.t -> report
-(** Same over an existing context (the synthesis integration point).
-    [jobs > 1] requires a shared-manager context and is clamped to [1]
-    otherwise. *)
+(** Same over an existing context (the synthesis integration point),
+    fanned out by [Spcf.Parallel.map]: [jobs > 1] requires a
+    shared-manager context and raises [Invalid_argument] otherwise. *)
 
 val classify_paths : Spcf.Ctx.t -> Paths.path list -> classified list
 (** Classify an explicit path subset sequentially (one shared

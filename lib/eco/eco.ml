@@ -399,36 +399,6 @@ let c_funcs_rebuilt = Obs.counter "eco.funcs.rebuilt"
 let c_sigmas_reused = Obs.counter "eco.sigmas.reused"
 let c_sigmas_recomputed = Obs.counter "eco.sigmas.recomputed"
 
-(* Per-output SPCFs over an explicit output set; [jobs > 1] fans
-   round-robin chunks across domains on the shared manager (worker j
-   owns outputs j, j+k, ...), re-interleaved into output order. *)
-let compute_sigmas ctx ~jobs ~outputs ~target_units =
-  let n = Array.length outputs in
-  let opts = Spcf.Exact.proposed_options in
-  if jobs <= 1 || n <= 1 then Spcf.Exact.sigmas ctx ~opts ~outputs ~target_units
-  else begin
-    let k = min jobs n in
-    Spcf.Ctx.prewarm_primes ctx;
-    let parent_budget = ctx.Spcf.Ctx.budget in
-    let chunk j =
-      Array.of_list (List.filteri (fun i _ -> i mod k = j) (Array.to_list outputs))
-    in
-    let worker j =
-      match Spcf.Exact.sigmas ctx ~opts ~outputs:(chunk j) ~target_units with
-      | sigs -> Ok sigs
-      | exception Budget.Budget_exceeded r ->
-        Budget.cancel parent_budget;
-        Error r
-    in
-    Spcf.Parallel.fanout ~k ~worker ~commit:(fun per_domain ->
-        let merged = Array.make n None in
-        Array.iteri
-          (fun j sigs -> List.iteri (fun p r -> merged.(j + (p * k)) <- Some r) sigs)
-          per_domain;
-        Array.to_list merged
-        |> List.map (function Some r -> r | None -> assert false))
-  end
-
 let snapshot ?(theta = 0.9) ?(model = Sta.Library) ?band ?(jobs = 1)
     ?(budget = Budget.unlimited) design =
   let circuit, sig_of = lower design in
@@ -437,8 +407,9 @@ let snapshot ?(theta = 0.9) ?(model = Sta.Library) ?band ?(jobs = 1)
   let target = Spcf.Ctx.target_of_theta ctx theta in
   let critical = Sta.critical_outputs ctx.Spcf.Ctx.sta ~target in
   let sigmas =
-    compute_sigmas ctx ~jobs ~outputs:critical
-      ~target_units:(Spcf.Ctx.units_of_target target)
+    let target_units = Spcf.Ctx.units_of_target target in
+    Spcf.Parallel.map ctx ~jobs critical (fun outputs ->
+        Spcf.Exact.sigmas ctx ~opts:Spcf.Exact.proposed_options ~outputs ~target_units)
   in
   let covers =
     List.map (fun (nm, _, sigma) -> (nm, Isop.of_bdd ctx.Spcf.Ctx.man sigma)) sigmas
@@ -557,8 +528,9 @@ let recompute ?(jobs = 1) t edits =
       (List.filter (fun (nm, _) -> not (reusable nm)) (Array.to_list critical))
   in
   let recomputed =
-    compute_sigmas ctx ~jobs ~outputs:to_recompute
-      ~target_units:(Spcf.Ctx.units_of_target target)
+    let target_units = Spcf.Ctx.units_of_target target in
+    Spcf.Parallel.map ctx ~jobs to_recompute (fun outputs ->
+        Spcf.Exact.sigmas ctx ~opts:Spcf.Exact.proposed_options ~outputs ~target_units)
   in
   let fresh = Hashtbl.create 16 in
   List.iter (fun ((nm, _, _) as r) -> Hashtbl.replace fresh nm r) recomputed;

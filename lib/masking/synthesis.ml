@@ -17,7 +17,7 @@
 
 type indicator = Structural | Direct
 
-type algorithm = Short_path | Path_based | Node_based
+type algorithm = Spcf.Governed.algorithm = Short_path | Path_based | Node_based
 
 type cube_order = Ascending | Descending | Unsorted
 
@@ -85,28 +85,6 @@ type t = {
       (* critical outputs dropped from the cover as provably false *)
 }
 
-(* The resolved SPCF worker-domain count for a run. *)
-let jobs_of options =
-  if options.jobs >= 1 then options.jobs else Spcf.Parallel.default_jobs ()
-
-(* The SPCF engine for a ladder tier: the requested algorithm at tier 1,
-   node-based at tier 2, Σ := 1 at tier 3 ([options.algorithm] is kept
-   as requested in the result — the tier records what actually ran). *)
-let run_algorithm options ctx ~target ~tier =
-  match (tier : Spcf.Governed.tier) with
-  | Spcf.Governed.Always_on -> Spcf.Governed.always_on ctx ~target
-  | Spcf.Governed.Exact | Spcf.Governed.Node_fallback -> (
-    let algorithm =
-      match tier with
-      | Spcf.Governed.Node_fallback -> Node_based
-      | _ -> options.algorithm
-    in
-    let jobs = jobs_of options in
-    match algorithm with
-    | Short_path -> Spcf.Parallel.short_path ~jobs ctx ~target
-    | Path_based -> Spcf.Parallel.path_based ~jobs ctx ~target
-    | Node_based -> Spcf.Node_based.compute ctx ~target)
-
 let c_cubes_kept = Obs.counter "synthesis.cubes.kept"
 let c_cubes_dropped = Obs.counter "synthesis.cubes.dropped"
 
@@ -158,23 +136,42 @@ let tautology_cover_1 =
   Logic2.Cover.of_cubes 1
     [ Logic2.Cube.make 1 [ (0, true) ]; Logic2.Cube.make 1 [ (0, false) ] ]
 
-let synthesize_body options ~budget ~tier ~attempts net =
+(* Add an ISOP cover over the primary inputs [pis] of [tnet] as a node
+   named [nm], compacted to its support; a constant cover hangs off
+   PI 0. *)
+let add_pi_cover_node tnet ~pis nm cover_full =
+  match Logic2.Bits.to_list (Logic2.Cover.support cover_full) with
+  | [] ->
+    let func =
+      if Logic2.Cover.is_tautology cover_full then tautology_cover_1
+      else Logic2.Cover.zero 1
+    in
+    Network.add_node tnet nm ~fanins:[| pis.(0) |] ~func
+  | vars ->
+    let index = Hashtbl.create 16 in
+    List.iteri (fun i v -> Hashtbl.replace index v i) vars;
+    let arity = List.length vars in
+    let remap_cube c =
+      Logic2.Cube.make arity
+        (List.map (fun (v, ph) -> (Hashtbl.find index v, ph)) (Logic2.Cube.literals c))
+    in
+    let cover =
+      Logic2.Cover.of_cubes arity (List.map remap_cube (Logic2.Cover.cubes cover_full))
+    in
+    Network.add_node tnet nm ~fanins:(Array.of_list (List.map (fun v -> pis.(v)) vars))
+      ~func:cover
+
+let synthesize_body options net ~budget ~tier ~attempts =
   let original, smap =
     Obs.with_span "map" (fun () ->
         Mapper.map_with_signals ~style:options.map_style net)
   in
-  (* A multi-job Exact-tier run gets the shared-manager context so
-     SPCF workers grow one DAG; the synthesis passes after the SPCF
-     run back on the main domain use the same manager either way. *)
-  let shared =
-    jobs_of options > 1
-    && (match tier with Spcf.Governed.Exact -> true | _ -> false)
-    && options.algorithm <> Node_based
+  let ctx, spcf =
+    Spcf.Governed.run_tier ~jobs:options.jobs ~model:options.delay_model ~budget
+      ~theta:options.theta tier options.algorithm original
   in
-  let ctx = Spcf.Ctx.create ~model:options.delay_model ~budget ~shared original in
   let delta = Spcf.Ctx.delta ctx in
-  let target = options.theta *. delta in
-  let spcf = run_algorithm options ctx ~target ~tier in
+  let target = spcf.Spcf.Ctx.target in
   let man = ctx.Spcf.Ctx.man in
   let funcs_net s = ctx.Spcf.Ctx.funcs.(smap.(s)) in
   (* Critical outputs in terms of the source network (matched by name). *)
@@ -204,7 +201,7 @@ let synthesize_body options ~budget ~tier ~attempts net =
          than theta * delta, i.e. band = 1 - theta. *)
       let report =
         Sensitization.analyze_ctx ~band:(1. -. options.theta)
-          ~jobs:(jobs_of options) ctx
+          ~jobs:(Spcf.Governed.jobs_of options.jobs) ctx
       in
       let false_outs = Sensitization.false_outputs report in
       let p, keep =
@@ -312,34 +309,8 @@ let synthesize_body options ~budget ~tier ~attempts net =
                the interval ISOP exploits the gap to stay small. *)
             let ytilde_bdd = (Lazy.force tnet_funcs).(ytilde) in
             let upper = Bdd.bxnor man ytilde_bdd (funcs_net s) in
-            let cover_full = Isop.compute man ~lower:sigma ~upper in
-            (* Compact to its support over the primary inputs. *)
-            let sup = Logic2.Cover.support cover_full in
-            let vars = Logic2.Bits.to_list sup in
-            (match vars with
-            | [] ->
-              (* Constant cover: Σ empty would be odd here; e ≡ 1 or 0. *)
-              let func =
-                if Logic2.Cover.is_tautology cover_full then tautology_cover_1
-                else Logic2.Cover.zero 1
-              in
-              Network.add_node tnet ("e__" ^ name) ~fanins:[| first_tpi |] ~func
-            | _ ->
-              let index = Hashtbl.create 16 in
-              List.iteri (fun i v -> Hashtbl.replace index v i) vars;
-              let arity = List.length vars in
-              let remap_cube c =
-                Logic2.Cube.make arity
-                  (List.map
-                     (fun (v, ph) -> (Hashtbl.find index v, ph))
-                     (Logic2.Cube.literals c))
-              in
-              let cover =
-                Logic2.Cover.of_cubes arity
-                  (List.map remap_cube (Logic2.Cover.cubes cover_full))
-              in
-              let fanins = Array.of_list (List.map (fun v -> t_inputs.(v)) vars) in
-              Network.add_node tnet ("e__" ^ name) ~fanins ~func:cover)
+            add_pi_cover_node tnet ~pis:t_inputs ("e__" ^ name)
+              (Isop.compute man ~lower:sigma ~upper)
         in
         Network.mark_output tnet ~name:("e__out__" ^ name) e_sig;
         (name, s, sigma))
@@ -362,29 +333,7 @@ let synthesize_body options ~budget ~tier ~attempts net =
       let tf_inputs = Network.inputs tf in
       let add_cover_node nm cover_full =
         if Logic2.Cover.num_cubes cover_full > 300 then raise Exit;
-        let sup = Logic2.Cover.support cover_full in
-        let vars = Logic2.Bits.to_list sup in
-        match vars with
-        | [] ->
-          let func =
-            if Logic2.Cover.is_tautology cover_full then tautology_cover_1
-            else Logic2.Cover.zero 1
-          in
-          Network.add_node tf nm ~fanins:[| tf_inputs.(0) |] ~func
-        | _ ->
-          let index = Hashtbl.create 16 in
-          List.iteri (fun i v -> Hashtbl.replace index v i) vars;
-          let arity = List.length vars in
-          let remap_cube c =
-            Logic2.Cube.make arity
-              (List.map (fun (v, ph) -> (Hashtbl.find index v, ph)) (Logic2.Cube.literals c))
-          in
-          let cover =
-            Logic2.Cover.of_cubes arity
-              (List.map remap_cube (Logic2.Cover.cubes cover_full))
-          in
-          Network.add_node tf nm ~fanins:(Array.of_list (List.map (fun v -> tf_inputs.(v)) vars))
-            ~func:cover
+        add_pi_cover_node tf ~pis:tf_inputs nm cover_full
       in
       List.iter
         (fun (name, s, sigma) ->
@@ -518,46 +467,13 @@ let synthesize_body options ~budget ~tier ~attempts net =
   }
 
 (* The degradation ladder (DESIGN.md §11). Each tier reruns the whole
-   body in a fresh context: falling back inside the exhausted manager
-   would re-raise immediately, and the later synthesis stages (cube
-   selection, indicator ISOPs) must be governed too — SPCF is not the
-   only place a budget can run out. The tier-3 floor runs ungoverned:
-   with Σ = 1 cube selection preserves every node function exactly and
-   the indicator collapses to e ≡ 1, so the floor is cheap, always
-   sound, and always completes. *)
+   body in a fresh context: the later synthesis stages (cube selection,
+   indicator ISOPs) must be governed too — SPCF is not the only place a
+   budget can run out. On the ungoverned tier-3 floor Σ = 1, so cube
+   selection preserves every node function exactly and the indicator
+   collapses to e ≡ 1: the floor is cheap, always sound, and always
+   completes. *)
 let synthesize ?(options = default_options) net =
   Obs.with_span "synthesis" @@ fun () ->
-  if Budget.is_no_limits options.budget then
-    synthesize_body options ~budget:Budget.unlimited ~tier:Spcf.Governed.Exact
-      ~attempts:[] net
-  else begin
-    let budget = Budget.instantiate options.budget in
-    let floor attempts =
-      Spcf.Governed.record_fallback Spcf.Governed.Always_on;
-      synthesize_body options ~budget:Budget.unlimited ~tier:Spcf.Governed.Always_on
-        ~attempts net
-    in
-    match synthesize_body options ~budget ~tier:Spcf.Governed.Exact ~attempts:[] net with
-    | m -> m
-    | exception Budget.Budget_exceeded Budget.Cancelled ->
-      (* Cancellation aborts the ladder (see Spcf.Governed): a tier
-         retried for a requester that is gone is pure waste. *)
-      raise (Budget.Budget_exceeded Budget.Cancelled)
-    | exception Budget.Budget_exceeded r1 ->
-      let attempts = [ (Spcf.Governed.Exact, r1) ] in
-      if options.algorithm = Node_based then
-        (* The request already was the tier-2 algorithm. *)
-        floor attempts
-      else begin
-        Spcf.Governed.record_fallback Spcf.Governed.Node_fallback;
-        match
-          synthesize_body options ~budget:(Budget.renew budget)
-            ~tier:Spcf.Governed.Node_fallback ~attempts net
-        with
-        | m -> m
-        | exception Budget.Budget_exceeded Budget.Cancelled ->
-          raise (Budget.Budget_exceeded Budget.Cancelled)
-        | exception Budget.Budget_exceeded r2 ->
-          floor (attempts @ [ (Spcf.Governed.Node_fallback, r2) ])
-      end
-  end
+  Spcf.Governed.ladder ~spec:options.budget ~algorithm:options.algorithm
+    (synthesize_body options net)

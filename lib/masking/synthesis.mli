@@ -8,7 +8,7 @@ type indicator =
   | Direct
       (** e_y synthesized from the BDD interval Σ_y ⊆ e ⊆ (ỹ = y) *)
 
-type algorithm = Short_path | Path_based | Node_based
+type algorithm = Spcf.Governed.algorithm = Short_path | Path_based | Node_based
 
 type cube_order = Ascending | Descending | Unsorted
 

@@ -33,14 +33,11 @@ let check ?(power_rounds = 128) (m : Synthesis.t) =
   let ctx = m.Synthesis.ctx in
   let man = ctx.Spcf.Ctx.man in
   (* Elaborate the combined circuit in the SPCF manager: input names and
-     order match the original network's by construction. *)
+     order match the original network's by construction. The original
+     circuit's functions are the context's own. *)
   let cnet = Mapped.network m.Synthesis.combined in
-  let cf, of_ =
-    Obs.with_span "elaborate" (fun () ->
-        let cf = Synthesis.bdds_in_man man cnet in
-        let of_ = Synthesis.bdds_in_man man (Mapped.network m.Synthesis.original) in
-        (cf, of_))
-  in
+  let cf = Obs.with_span "elaborate" (fun () -> Synthesis.bdds_in_man man cnet) in
+  let of_ = ctx.Spcf.Ctx.funcs in
   let onet = Mapped.network m.Synthesis.original in
   let orig_out name =
     match Array.find_opt (fun (n, _) -> n = name) (Network.outputs onet) with

@@ -295,9 +295,7 @@ let paths_json spec mnet (report : Sensitization.report) diags =
 
 let run_paths ~note buf (lookup : lookup) (c : circuit) (r : paths_req)
     (bspec : Budget.spec) =
-  let budget =
-    if Budget.is_no_limits bspec then Budget.unlimited else Budget.instantiate bspec
-  in
+  let budget = Budget.instantiate bspec in
   let entry = lookup c in
   note_circuit note c.spec entry.e_net;
   put note "jobs" (Obs_json.Int r.p_jobs);
@@ -443,9 +441,7 @@ let eco_json spec ~edits ~jobs ~check_result (base : Eco.t) (t : Eco.t) =
 
 let run_eco ~note ?(snapshot_for = default_snapshot) buf (lookup : lookup)
     (c : circuit) (r : eco_req) (bspec : Budget.spec) =
-  let budget =
-    if Budget.is_no_limits bspec then Budget.unlimited else Budget.instantiate bspec
-  in
+  let budget = Budget.instantiate bspec in
   let entry = lookup c in
   note_circuit note c.spec entry.e_net;
   note_run note ~theta:r.c_theta ~jobs:r.c_jobs;

@@ -1,13 +1,9 @@
 (* Budget-governed SPCF: exact -> node-based -> always-on.
 
-   Each tier gets a *fresh* context. Falling back inside the exhausted
-   manager would re-raise immediately (its node count already exceeds
-   the quota), so tier 2 rebuilds from the circuit under a renewed
-   budget — same deadline and quotas, fresh operation count — and the
-   tier-3 floor rebuilds ungoverned, because a floor that can itself
-   fail is not a floor. Soundness per tier is argued in DESIGN.md §11:
-   every tier's Σ is a superset of the exact Σ, and any superset yields
-   a masking circuit whose prediction is still correct. *)
+   Each tier gets a *fresh* context (see [ladder]). Soundness per tier
+   is argued in DESIGN.md §11: every tier's Σ is a superset of the
+   exact Σ, and any superset yields a masking circuit whose prediction
+   is still correct. *)
 
 type algorithm = Short_path | Path_based | Node_based
 
@@ -66,75 +62,74 @@ type outcome = {
   attempts : (tier * Budget.reason) list;
 }
 
-let run_tier ?jobs ~model ~budget ~theta algorithm circuit =
-  (* A multi-job run of an Exact tier gets the shared-manager context,
-     so workers grow one DAG instead of rebuilding private managers;
-     Node_based is single-pass sequential and keeps the plain backend. *)
-  let shared =
-    (match jobs with Some j -> j > 1 | None -> false) && algorithm <> Node_based
-  in
+(* The worker-domain count of a run: a positive request as given, else
+   EMASK_JOBS ([Parallel.default_jobs]). *)
+let jobs_of jobs = if jobs >= 1 then jobs else Parallel.default_jobs ()
+
+(* One tier's context and Σ: the requested algorithm at tier 1,
+   node-based at tier 2, Σ := 1 at tier 3. A multi-job run of an exact
+   tier gets the shared-manager context, so workers grow one DAG;
+   node-based is single-pass sequential and the floor does no SPCF
+   work, so both keep the plain backend. *)
+let run_tier ?(jobs = 0) ~model ~budget ~theta tier algorithm circuit =
+  let jobs = jobs_of jobs in
+  let algorithm = if tier = Exact then algorithm else Node_based in
+  let shared = jobs > 1 && tier = Exact && algorithm <> Node_based in
   let ctx = Ctx.create ~model ~budget ~shared circuit in
   let target = Ctx.target_of_theta ctx theta in
   let result =
-    match algorithm with
-    | Short_path -> Parallel.compute ?jobs ctx ~algorithm:Parallel.Short_path ~target
-    | Path_based -> Parallel.compute ?jobs ctx ~algorithm:Parallel.Path_based ~target
-    | Node_based -> Node_based.compute ctx ~target
+    match (tier, algorithm) with
+    | Always_on, _ -> always_on ctx ~target
+    | _, Short_path -> Parallel.compute ~jobs ctx ~algorithm:Parallel.Short_path ~target
+    | _, Path_based -> Parallel.compute ~jobs ctx ~algorithm:Parallel.Path_based ~target
+    | _, Node_based -> Node_based.compute ctx ~target
   in
   (ctx, result)
 
-let finish ~tier ~attempts (ctx, result) =
-  (* The construction survived its budget; lift it so downstream
-     consumers of the context (satcounts, verification) are not tripped
-     by a quota the result already fits inside. *)
-  Bdd.set_budget ctx.Ctx.man Budget.unlimited;
-  record_tier tier result;
-  { ctx; result; tier; attempts }
-
-let floor_tier ~model ~theta ~attempts circuit =
-  record_fallback Always_on;
-  let ctx = Ctx.create ~model circuit in
-  let target = Ctx.target_of_theta ctx theta in
-  let result = always_on ctx ~target in
-  record_tier Always_on result;
-  { ctx; result; tier = Always_on; attempts }
+(* The degradation ladder, walked once for every SPCF-driven job.
+   [body] runs one tier under [budget] and must build everything it
+   needs afresh: falling back inside the exhausted manager would
+   re-raise immediately (its node count already exceeds the quota), so
+   tier 2 reruns under a renewed budget — same deadline and quotas,
+   fresh operation count — and the tier-3 floor reruns ungoverned,
+   because a floor that can itself fail is not a floor. *)
+let ladder ~spec ~algorithm body =
+  if Budget.is_no_limits spec then
+    (* Ungoverned: exactly the plain computation, bit for bit. *)
+    body ~budget:Budget.unlimited ~tier:Exact ~attempts:[]
+  else begin
+    (* Cancellation is not exhaustion: nobody wants the result, so
+       degrading to a cheaper tier would waste exactly the work the
+       cancel was meant to stop. [Cancelled] is never caught here. *)
+    let attempt ~budget ~tier ~attempts next =
+      match body ~budget ~tier ~attempts with
+      | r -> r
+      | exception Budget.Budget_exceeded r when r <> Budget.Cancelled ->
+        next (attempts @ [ (tier, r) ])
+    in
+    let floor attempts =
+      record_fallback Always_on;
+      body ~budget:Budget.unlimited ~tier:Always_on ~attempts
+    in
+    let budget = Budget.instantiate spec in
+    attempt ~budget ~tier:Exact ~attempts:[] (fun attempts ->
+        if algorithm = Node_based then
+          (* The request already was the tier-2 algorithm. *)
+          floor attempts
+        else begin
+          record_fallback Node_fallback;
+          attempt ~budget:(Budget.renew budget) ~tier:Node_fallback ~attempts floor
+        end)
+  end
 
 let compute ?jobs ?(model = Sta.Library) ?(spec = Budget.no_limits) ~algorithm ~theta
     circuit =
-  (* Resolve the job count once, up front: the context backend (shared
-     vs sequential manager) depends on it. *)
-  let jobs =
-    Some (match jobs with Some j -> max 1 j | None -> Parallel.default_jobs ())
-  in
-  if Budget.is_no_limits spec then
-    (* Ungoverned: exactly the plain computation, bit for bit. *)
-    finish ~tier:Exact ~attempts:[]
-      (run_tier ?jobs ~model ~budget:Budget.unlimited ~theta algorithm circuit)
-  else begin
-    touch_ladder_metrics ();
-    let budget = Budget.instantiate spec in
-    match run_tier ?jobs ~model ~budget ~theta algorithm circuit with
-    | pair -> finish ~tier:Exact ~attempts:[] pair
-    | exception Budget.Budget_exceeded Budget.Cancelled ->
-      (* Cancellation is not exhaustion: nobody wants the result, so
-         degrading to a cheaper tier would waste exactly the work the
-         cancel was meant to stop. Abort instead. *)
-      raise (Budget.Budget_exceeded Budget.Cancelled)
-    | exception Budget.Budget_exceeded r1 ->
-      let attempts = [ (Exact, r1) ] in
-      if algorithm = Node_based then
-        (* The request already was the tier-2 algorithm. *)
-        floor_tier ~model ~theta ~attempts circuit
-      else begin
-        record_fallback Node_fallback;
-        match
-          run_tier ~model ~budget:(Budget.renew budget) ~theta Node_based circuit
-        with
-        | pair -> finish ~tier:Node_fallback ~attempts pair
-        | exception Budget.Budget_exceeded Budget.Cancelled ->
-          raise (Budget.Budget_exceeded Budget.Cancelled)
-        | exception Budget.Budget_exceeded r2 ->
-          floor_tier ~model ~theta ~attempts:(attempts @ [ (Node_fallback, r2) ])
-            circuit
-      end
-  end
+  if not (Budget.is_no_limits spec) then touch_ladder_metrics ();
+  ladder ~spec ~algorithm (fun ~budget ~tier ~attempts ->
+      let ctx, result = run_tier ?jobs ~model ~budget ~theta tier algorithm circuit in
+      (* The construction survived its budget; lift it so downstream
+         consumers of the context (satcounts, verification) are not
+         tripped by a quota the result already fits inside. *)
+      Bdd.set_budget ctx.Ctx.man Budget.unlimited;
+      record_tier tier result;
+      { ctx; result; tier; attempts })

@@ -29,16 +29,6 @@ type tier = Exact | Node_fallback | Always_on
 val tier_to_string : tier -> string
 (** ["exact"], ["node-based"], ["always-on"]. *)
 
-val record_fallback : tier -> unit
-(** Bump the [spcf.fallback.node_based] / [spcf.fallback.always_on]
-    counter for a fallback that landed on [tier] (no-op for [Exact]).
-    Exposed so [Masking.Synthesis]'s ladder shares the same counters. *)
-
-val always_on : Ctx.t -> target:float -> Ctx.result
-(** The tier-3 result: Σ_y = 1 for every critical output (algorithm
-    ["always-on"]). Performs no BDD computation beyond the context's
-    existing functions. *)
-
 type outcome = {
   ctx : Ctx.t;  (** the context of the tier that completed *)
   result : Ctx.result;
@@ -61,3 +51,40 @@ val compute :
     bit for bit. On success of any tier the context's manager budget is
     lifted, so downstream consumers (satcounts, verification) are not
     tripped by a quota the construction already survived. *)
+
+val jobs_of : int -> int
+(** The worker-domain count of a run: [jobs] when positive, else
+    [Parallel.default_jobs ()] ([EMASK_JOBS]). *)
+
+val run_tier :
+  ?jobs:int ->
+  model:Sta.delay_model ->
+  budget:Budget.t ->
+  theta:float ->
+  tier ->
+  algorithm ->
+  Mapped.t ->
+  Ctx.t * Ctx.result
+(** One tier's fresh context and Σ, at target [theta *. delta]: the
+    requested [algorithm] on [Exact], node-based on [Node_fallback],
+    Σ_y = 1 for every critical output on [Always_on]. [jobs] is
+    resolved by {!jobs_of} (default [0]: [EMASK_JOBS]); the context
+    gets the shared-manager backend exactly when the tier runs a
+    parallel exact algorithm. *)
+
+val ladder :
+  spec:Budget.spec ->
+  algorithm:algorithm ->
+  (budget:Budget.t -> tier:tier -> attempts:(tier * Budget.reason) list -> 'a) ->
+  'a
+(** The one walk of the ladder, shared by {!compute} and
+    [Masking.Synthesis.synthesize]. [body] runs one tier from scratch
+    under [budget]; [attempts] are the walls hit so far. With
+    [spec = Budget.no_limits] it is the single call
+    [body ~budget:Budget.unlimited ~tier:Exact ~attempts:[]]. Otherwise
+    a [Budget.Budget_exceeded] from tier 1 falls to tier 2 under
+    [Budget.renew] (skipped when [algorithm = Node_based]), and from
+    tier 2 to the unbudgeted [Always_on] floor, bumping the
+    [spcf.fallback.*] counter of each landing tier.
+    [Budget_exceeded Cancelled] aborts the walk instead: nobody wants
+    the result. *)

@@ -115,53 +115,70 @@ let sequential ctx ~algorithm ~target =
   | Short_path -> Exact.short_path ctx ~target
   | Path_based -> Exact.path_based ctx ~target
 
-(* Spawn [k] workers, join them, merge Obs snapshots in worker order,
-   surface the first non-Cancelled budget error if any worker ran out,
-   and hand the per-worker successes to [commit]. Each worker returns
-   the sigma list of its round-robin chunk (worker j owns critical
-   outputs j, j+k, ...). *)
-let fanout ~k ~worker ~commit =
-  let collect = Obs.on () in
-  let wrapped j () =
-    let res = worker j in
-    (* Exporting the snapshot is the worker's last act, on both the
-       success and the budget-exceeded path: partial work must still
-       be attributed. *)
-    (res, if collect then Some (Obs.export_snapshot ()) else None)
-  in
-  let domains = Array.init k (fun j -> Domain.spawn (wrapped j)) in
-  let joined = Array.map Domain.join domains in
-  (* Merge observability snapshots first, in worker order, so the
-     registry is complete and deterministic even when a budget error
-     propagates below. *)
-  Array.iteri
-    (fun j (_, snap) ->
-      match snap with
-      | Some s -> Obs.merge_snapshot ~label:(Printf.sprintf "worker %d" (j + 1)) s
-      | None -> ())
-    joined;
-  let joined = Array.map fst joined in
-  (* Every domain has joined; surface the root cause (the first
-     non-Cancelled reason) if any worker ran out. *)
-  let errors =
-    Array.to_list joined
-    |> List.filter_map (function Error r -> Some r | Ok _ -> None)
-  in
-  (match (List.find_opt (fun r -> r <> Budget.Cancelled) errors, errors) with
-  | Some r, _ | None, r :: _ -> raise (Budget.Budget_exceeded r)
-  | None, [] -> ());
-  commit (Array.map (function Ok sigs -> sigs | Error _ -> assert false) joined)
-
-(* Interleave worker results back into critical-output order: worker
-   j's p-th result is critical output j + p*k. *)
-let interleave ~n ~k per_domain =
-  let merged = Array.make n None in
-  Array.iteri
-    (fun j sigs ->
-      List.iteri (fun p (nm, y, sigma) -> merged.(j + (p * k)) <- Some (nm, y, sigma)) sigs)
-    per_domain;
-  Array.to_list merged
-  |> List.map (function Some r -> r | None -> assert false)
+(* The one round-robin domain map. Worker j owns items j, j+k, j+2k,
+   ... — deterministic, and it interleaves neighbouring (often
+   similar-sized) cones across workers. Every worker computes directly
+   in the context's shared manager, made read-only for workers up front
+   (prime cache prewarmed). Worker j's p-th result is item j + p*k, so
+   re-interleaving restores item order. *)
+let map ctx ~jobs items f =
+  if jobs > 1 && not (Bdd.is_shared ctx.Ctx.man) then
+    invalid_arg
+      (Printf.sprintf
+         "Spcf.Parallel: jobs = %d needs a shared-manager context (Ctx.create \
+          ~shared:true)"
+         jobs);
+  let n = Array.length items in
+  let k = min jobs n in
+  if k <= 1 then f items
+  else begin
+    Ctx.prewarm_primes ctx;
+    let collect = Obs.on () in
+    let worker j () =
+      let chunk = Array.init (((n - j - 1) / k) + 1) (fun p -> items.(j + (p * k))) in
+      let res =
+        match f chunk with
+        | rs -> Ok rs
+        | exception Budget.Budget_exceeded r ->
+          (* All workers tick the one shared budget: cancelling it
+             stops the team at their next poll. *)
+          Budget.cancel ctx.Ctx.budget;
+          Error r
+      in
+      (* Exporting the snapshot is the worker's last act, on both the
+         success and the budget-exceeded path: partial work must still
+         be attributed. *)
+      (res, if collect then Some (Obs.export_snapshot ()) else None)
+    in
+    let domains = Array.init k (fun j -> Domain.spawn (worker j)) in
+    let joined = Array.map Domain.join domains in
+    (* Merge observability snapshots first, in worker order, so the
+       registry is complete and deterministic even when a budget error
+       propagates below. *)
+    Array.iteri
+      (fun j (_, snap) ->
+        Option.iter
+          (Obs.merge_snapshot ~label:(Printf.sprintf "worker %d" (j + 1)))
+          snap)
+      joined;
+    (* Every domain has joined; surface the root cause (the first
+       non-Cancelled reason) if any worker ran out. *)
+    let errors =
+      Array.to_list joined
+      |> List.filter_map (function Error r, _ -> Some r | Ok _, _ -> None)
+    in
+    (match (List.find_opt (fun r -> r <> Budget.Cancelled) errors, errors) with
+    | Some r, _ | None, r :: _ -> raise (Budget.Budget_exceeded r)
+    | None, [] -> ());
+    let merged = Array.make n None in
+    Array.iteri
+      (fun j (res, _) ->
+        match res with
+        | Ok rs -> List.iteri (fun p r -> merged.(j + (p * k)) <- Some r) rs
+        | Error _ -> assert false)
+      joined;
+    Array.to_list (Array.map Option.get merged)
+  end
 
 let worker_sigmas ctx ~algorithm ~outputs ~target_units =
   match algorithm with
@@ -169,58 +186,22 @@ let worker_sigmas ctx ~algorithm ~outputs ~target_units =
     Exact.sigmas ctx ~opts:Exact.proposed_options ~outputs ~target_units
   | Path_based -> Exact.sigmas_lateness ctx ~outputs ~target_units
 
-(* Every worker computes directly in the caller's manager and returns
-   node handles — no transport at all. The context is made read-only
-   for workers up front (prime cache prewarmed); the manager itself is
-   the concurrent backend. *)
-let compute_shared ctx ~algorithm ~critical ~k ~chunk ~target_units =
-  Ctx.prewarm_primes ctx;
-  let parent_budget = ctx.Ctx.budget in
-  let worker j =
-    match worker_sigmas ctx ~algorithm ~outputs:(chunk j) ~target_units with
-    | sigs -> Ok sigs
-    | exception Budget.Budget_exceeded r ->
-      (* All workers tick the one shared budget: cancelling it stops
-         the team at their next poll. *)
-      Budget.cancel parent_budget;
-      Error r
-  in
-  fanout ~k ~worker ~commit:(interleave ~n:(Array.length critical) ~k)
-
 let compute ?jobs ctx ~algorithm ~target =
   let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
-  if jobs > 1 && not (Bdd.is_shared ctx.Ctx.man) then
-    invalid_arg
-      (Printf.sprintf
-         "Spcf.Parallel: jobs = %d needs a shared-manager context (Ctx.create \
-          ~shared:true)"
-         jobs);
   if jobs = 1 then sequential ctx ~algorithm ~target
   else begin
-    let critical = Sta.critical_outputs ctx.Ctx.sta ~target in
-    let n = Array.length critical in
-    let k = min jobs n in
-    if k <= 1 then sequential ctx ~algorithm ~target
-    else begin
-      let name =
-        match algorithm with
-        | Short_path -> "short-path-based"
-        | Path_based -> "path-based"
-      in
-      let outputs, runtime =
-        Obs.timed ("spcf." ^ name) (fun () ->
-            let target_units = Ctx.units_of_target target in
-            (* Round-robin assignment: worker j owns critical outputs
-               j, j+k, j+2k, ... — deterministic, and it interleaves
-               neighbouring (often similar-sized) cones across workers. *)
-            let chunk j =
-              Array.of_list
-                (List.filteri (fun i _ -> i mod k = j) (Array.to_list critical))
-            in
-            compute_shared ctx ~algorithm ~critical ~k ~chunk ~target_units)
-      in
-      Ctx.make_result ctx ~algorithm:name ~target outputs ~runtime
-    end
+    let name =
+      match algorithm with
+      | Short_path -> "short-path-based"
+      | Path_based -> "path-based"
+    in
+    let outputs, runtime =
+      Obs.timed ("spcf." ^ name) (fun () ->
+          let target_units = Ctx.units_of_target target in
+          map ctx ~jobs (Sta.critical_outputs ctx.Ctx.sta ~target) (fun outputs ->
+              worker_sigmas ctx ~algorithm ~outputs ~target_units))
+    in
+    Ctx.make_result ctx ~algorithm:name ~target outputs ~runtime
   end
 
 let short_path ?jobs ctx ~target = compute ?jobs ctx ~algorithm:Short_path ~target

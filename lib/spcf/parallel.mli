@@ -36,6 +36,23 @@ val compute : ?jobs:int -> Ctx.t -> algorithm:algorithm -> target:float -> Ctx.r
 val short_path : ?jobs:int -> Ctx.t -> target:float -> Ctx.result
 val path_based : ?jobs:int -> Ctx.t -> target:float -> Ctx.result
 
+val map : Ctx.t -> jobs:int -> 'a array -> ('a array -> 'b list) -> 'b list
+(** [map ctx ~jobs items f] is [f items] computed by [k = min jobs n]
+    worker domains over the context's manager — the one round-robin
+    map behind {!compute}, ECO's per-output recompute and parallel
+    path classification. [f] maps a chunk to one result per item, in
+    chunk order; worker [j] gets items [j, j+k, j+2k, ...], and the
+    results are re-interleaved into item order, so the answer is the
+    same list for every [jobs]. With [k <= 1] this is a direct call of
+    [f] on the whole array.
+
+    Raises [Invalid_argument] when [jobs > 1] and the manager is not
+    shared. Before spawning it prewarms the context's prime cache.
+    A worker that raises [Budget.Budget_exceeded] cancels
+    [ctx.budget], so its team-mates stop at their next poll; once all
+    have joined and their Obs snapshots are merged in worker order, the
+    first non-[Cancelled] reason is re-raised. *)
+
 (**/**)
 
 type dag = int array * int array * int array * int
@@ -45,14 +62,3 @@ val import : Bdd.man -> dag -> Bdd.t
 (** Cross-manager BDD transport — the ECO snapshot format
     ([emask-eco/1]) and the tests' manager-independent comparison:
     postorder DAG with terminal ids 0/1 and internal ids offset by 2. *)
-
-val fanout :
-  k:int ->
-  worker:(int -> ('a, Budget.reason) result) ->
-  commit:('a array -> 'b) ->
-  'b
-(** Generic domain fan-out driver (exposed for the sensitization
-    analysis): spawn [k] workers, join them, merge their Obs snapshots
-    in worker order, raise [Budget.Budget_exceeded] with the first
-    non-Cancelled reason if any worker returned [Error], else hand the
-    per-worker successes to [commit]. *)

@@ -166,6 +166,25 @@ let test_governed_always_on_floor () =
     (fun (_, _, sigma) -> check "sigma is 1" true (sigma = Bdd.btrue))
     o.Spcf.Governed.result.Spcf.Ctx.outputs
 
+(* A spec whose external cancel flag is already tripped: the requester
+   is gone, so the ladder must abort rather than degrade. *)
+let cancelled_spec () =
+  let flag = Budget.flag () in
+  Budget.trip flag;
+  Budget.cancelled_by flag Budget.no_limits
+
+let raises_cancelled f =
+  match f () with
+  | _ -> false
+  | exception Budget.Budget_exceeded Budget.Cancelled -> true
+
+let test_governed_cancel_aborts () =
+  let mc = mapped "x2" in
+  check "governed compute aborts" true
+    (raises_cancelled (fun () ->
+         Spcf.Governed.compute ~spec:(cancelled_spec ())
+           ~algorithm:Spcf.Governed.Short_path ~theta:0.9 mc))
+
 (* ---------- the synthesis ladder ---------- *)
 
 let verify_clean what m =
@@ -215,6 +234,14 @@ let test_synthesis_always_on_floor () =
     (m.Masking.Synthesis.tier = Spcf.Governed.Always_on);
   check "both walls recorded" true (List.length m.Masking.Synthesis.attempts = 2);
   verify_clean "always-on" m
+
+let test_synthesis_cancel_aborts () =
+  let net = Suite.network (Suite.find "x2") in
+  let options =
+    { Masking.Synthesis.default_options with budget = cancelled_spec () }
+  in
+  check "synthesis aborts" true
+    (raises_cancelled (fun () -> Masking.Synthesis.synthesize ~options net))
 
 let test_synthesis_generous_budget_identical () =
   let net = Suite.network (Suite.find "cmb") in
@@ -289,11 +316,13 @@ let () =
             test_governed_ungoverned_identical;
           Alcotest.test_case "fallback sound" `Quick test_governed_fallback_sound;
           Alcotest.test_case "always-on floor" `Quick test_governed_always_on_floor;
+          Alcotest.test_case "cancel aborts" `Quick test_governed_cancel_aborts;
         ] );
       ( "synthesis",
         [
           Alcotest.test_case "node fallback" `Slow test_synthesis_node_fallback;
           Alcotest.test_case "always-on floor" `Slow test_synthesis_always_on_floor;
+          Alcotest.test_case "cancel aborts" `Quick test_synthesis_cancel_aborts;
           Alcotest.test_case "generous budget identical" `Slow
             test_synthesis_generous_budget_identical;
         ] );

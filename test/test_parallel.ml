@@ -123,16 +123,23 @@ let test_needs_shared () =
 let test_budget_cancels_team () =
   let mc = Mapper.map (Suite.load "x2") in
   let base = Bdd.num_nodes (Spcf.Ctx.create ~shared:true mc).Spcf.Ctx.man in
-  let budget = Budget.create ~max_nodes:(base + 50) () in
-  let ctx = Spcf.Ctx.create ~budget ~shared:true mc in
-  let target = Spcf.Ctx.target_of_theta ctx 0.5 in
-  check "several critical outputs" true
-    (Array.length (Sta.critical_outputs ctx.Spcf.Ctx.sta ~target) > 1);
-  (match Spcf.Parallel.short_path ~jobs:4 ctx ~target with
-  | _ -> Alcotest.fail "expected the node quota to stop the run"
-  | exception Budget.Budget_exceeded r ->
-    check "root cause surfaces" true (r = Budget.Nodes));
-  check "the team was cancelled" true (Budget.cancelled budget)
+  let stopped what run =
+    let budget = Budget.create ~max_nodes:(base + 50) () in
+    (match run budget with
+    | () -> Alcotest.fail (what ^ ": expected the node quota to stop the run")
+    | exception Budget.Budget_exceeded r ->
+      check (what ^ ": root cause surfaces") true (r = Budget.Nodes));
+    check (what ^ ": the team was cancelled") true (Budget.cancelled budget)
+  in
+  stopped "spcf" (fun budget ->
+      let ctx = Spcf.Ctx.create ~budget ~shared:true mc in
+      let target = Spcf.Ctx.target_of_theta ctx 0.5 in
+      check "several critical outputs" true
+        (Array.length (Sta.critical_outputs ctx.Spcf.Ctx.sta ~target) > 1);
+      ignore (Spcf.Parallel.short_path ~jobs:4 ctx ~target : Spcf.Ctx.result));
+  (* ECO's snapshot fans its per-output SPCFs through the same map. *)
+  stopped "eco" (fun budget ->
+      ignore (Eco.snapshot ~theta:0.5 ~jobs:4 ~budget (Eco.design_of_mapped mc) : Eco.t))
 
 (* Downstream synthesis + verification must be unaffected by the worker
    count: every verdict and every overhead figure matches. *)
