@@ -575,22 +575,21 @@ and ite_step_seq man s f g h =
    the same [n] must encounter it before any empty cell — which makes
    the copy idempotent and lets two copiers cover the same range. *)
 let sh_rehash_insert h dst dmask n =
-  let hh = mix3 (sh_var h n) (sh_low h n) (sh_high h n) in
-  let rec ins j =
-    let cell = Array.unsafe_get dst j in
+  let j = ref (mix3 (sh_var h n) (sh_low h n) (sh_high h n) land dmask) in
+  let placing = ref true in
+  while !placing do
+    let cell = Array.unsafe_get dst !j in
     let v = Atomic.get cell in
-    if v = n then ()
+    if v = n then placing := false
     else if v = 0 then begin
-      if not (Atomic.compare_and_set cell 0 n) then begin
-        Obs.incr c_cas_retries;
+      if Atomic.compare_and_set cell 0 n then placing := false
+      else
         (* Re-examine the same cell: the winning writer may have
            published exactly [n]. *)
-        ins j
-      end
+        Obs.incr c_cas_retries
     end
-    else ins ((j + 1) land dmask)
-  in
-  ins (hh land dmask)
+    else j := (!j + 1) land dmask
+  done
 
 let sh_copy_range h (r : rehash) lo hi =
   let dst = r.r_dst in
@@ -687,38 +686,41 @@ let[@inline] sh_stripe_of h hash =
 let sh_insert_locked man h st hash v lo hi =
   let tab = Atomic.get st.st_slots in
   let mask = Array.length tab - 1 in
-  let rec probe i =
-    let cell = Array.unsafe_get tab i in
-    let n = Atomic.get cell in
-    if n = 0 then begin
-      let id = Atomic.fetch_and_add h.next 1 in
-      if id >= max_nodes then failwith "Bdd: node limit (2^30) exceeded";
-      if man.budget != Budget.unlimited then Budget.check_nodes man.budget (id + 1);
-      sh_ensure h id;
-      let chunk = Array.unsafe_get h.chunks (id lsr chunk_bits) in
-      let base = (id land chunk_mask) * 3 in
-      Array.unsafe_set chunk base v;
-      Array.unsafe_set chunk (base + 1) lo;
-      Array.unsafe_set chunk (base + 2) hi;
-      Obs.incr c_unique_inserts;
-      Obs.record_max c_nodes_max (id + 1);
-      (* Publication point: after this release store any domain that
-         reads the slot sees the fields written above. *)
-      Atomic.set cell id;
-      st.st_count <- st.st_count + 1;
-      if st.st_count * 4 > (mask + 1) * 3 then sh_grow_stripe h st;
-      id
-    end
-    else if sh_var h n = v && sh_low h n = lo && sh_high h n = hi then begin
-      (* Another domain interned the same triple between our lock-free
-         miss and the lock acquisition. *)
-      Obs.incr c_unique_hits;
-      Obs.incr c_insert_races;
-      n
-    end
-    else probe ((i + 1) land mask)
-  in
-  probe (hash land mask)
+  (* Walk to the triple's node or to the empty slot ending its probe.
+     Only the lock holder publishes into the live table, so the slot
+     read last still holds what the walk saw. *)
+  let i = ref (hash land mask) in
+  let n = ref (Atomic.get (Array.unsafe_get tab !i)) in
+  while !n <> 0 && not (sh_var h !n = v && sh_low h !n = lo && sh_high h !n = hi) do
+    i := (!i + 1) land mask;
+    n := Atomic.get (Array.unsafe_get tab !i)
+  done;
+  if !n <> 0 then begin
+    (* Another domain interned the same triple between our lock-free
+       miss and the lock acquisition. *)
+    Obs.incr c_unique_hits;
+    Obs.incr c_insert_races;
+    !n
+  end
+  else begin
+    let id = Atomic.fetch_and_add h.next 1 in
+    if id >= max_nodes then failwith "Bdd: node limit (2^30) exceeded";
+    if man.budget != Budget.unlimited then Budget.check_nodes man.budget (id + 1);
+    sh_ensure h id;
+    let chunk = Array.unsafe_get h.chunks (id lsr chunk_bits) in
+    let base = (id land chunk_mask) * 3 in
+    Array.unsafe_set chunk base v;
+    Array.unsafe_set chunk (base + 1) lo;
+    Array.unsafe_set chunk (base + 2) hi;
+    Obs.incr c_unique_inserts;
+    Obs.record_max c_nodes_max (id + 1);
+    (* Publication point: after this release store any domain that
+       reads the slot sees the fields written above. *)
+    Atomic.set (Array.unsafe_get tab !i) id;
+    st.st_count <- st.st_count + 1;
+    if st.st_count * 4 > (mask + 1) * 3 then sh_grow_stripe h st;
+    id
+  end
 
 (* Find-or-insert of a normalised triple (high regular); returns the
    node id. *)
@@ -731,16 +733,15 @@ let intern_shr man h v lo hi =
      the locked path below re-probes the live table. *)
   let tab = Atomic.get st.st_slots in
   let mask = Array.length tab - 1 in
-  let rec probe i =
-    let n = Atomic.get (Array.unsafe_get tab i) in
-    if n = 0 then 0
-    else if sh_var h n = v && sh_low h n = lo && sh_high h n = hi then n
-    else probe ((i + 1) land mask)
-  in
-  let n = probe (hash land mask) in
-  if n > 0 then begin
+  let i = ref (hash land mask) in
+  let n = ref (Atomic.get (Array.unsafe_get tab !i)) in
+  while !n <> 0 && not (sh_var h !n = v && sh_low h !n = lo && sh_high h !n = hi) do
+    i := (!i + 1) land mask;
+    n := Atomic.get (Array.unsafe_get tab !i)
+  done;
+  if !n > 0 then begin
     Obs.incr c_unique_hits;
-    n
+    !n
   end
   else begin
     sh_lock_stripe h st;

@@ -407,9 +407,8 @@ let snapshot ?(theta = 0.9) ?(model = Sta.Library) ?band ?(jobs = 1)
   let target = Spcf.Ctx.target_of_theta ctx theta in
   let critical = Sta.critical_outputs ctx.Spcf.Ctx.sta ~target in
   let sigmas =
-    let target_units = Spcf.Ctx.units_of_target target in
-    Spcf.Parallel.map ctx ~jobs critical (fun outputs ->
-        Spcf.Exact.sigmas ctx ~opts:Spcf.Exact.proposed_options ~outputs ~target_units)
+    Spcf.Parallel.sigmas ctx ~jobs ~algorithm:Short_path critical
+      ~target_units:(Spcf.Ctx.units_of_target target)
   in
   let covers =
     List.map (fun (nm, _, sigma) -> (nm, Isop.of_bdd ctx.Spcf.Ctx.man sigma)) sigmas
@@ -479,30 +478,8 @@ let recompute ?(jobs = 1) t edits =
       end
     end
   done;
-  let delay_units = Array.map Spcf.Ctx.units_of_delay (Sta.gate_delays model circuit) in
-  let arrival_units = Array.make (Network.num_signals net) 0 in
-  Array.iter
-    (fun s ->
-      match Network.node_of net s with
-      | None -> ()
-      | Some nd ->
-        let worst =
-          Array.fold_left (fun acc f -> max acc arrival_units.(f)) 0 nd.Network.fanins
-        in
-        arrival_units.(s) <- worst + delay_units.(s))
-    (Network.topo_order net);
   let ctx =
-    {
-      Spcf.Ctx.circuit;
-      model;
-      sta;
-      man;
-      funcs;
-      delay_units;
-      arrival_units;
-      primes = t.ctx.Spcf.Ctx.primes;
-      budget = t.ctx.Spcf.Ctx.budget;
-    }
+    Spcf.Ctx.of_funcs ~model ~sta ~budget:t.ctx.Spcf.Ctx.budget circuit man funcs
   in
   let delta = Spcf.Ctx.delta ctx in
   let delta_changed = not (Float.equal delta t.delta) in
@@ -528,9 +505,8 @@ let recompute ?(jobs = 1) t edits =
       (List.filter (fun (nm, _) -> not (reusable nm)) (Array.to_list critical))
   in
   let recomputed =
-    let target_units = Spcf.Ctx.units_of_target target in
-    Spcf.Parallel.map ctx ~jobs to_recompute (fun outputs ->
-        Spcf.Exact.sigmas ctx ~opts:Spcf.Exact.proposed_options ~outputs ~target_units)
+    Spcf.Parallel.sigmas ctx ~jobs ~algorithm:Short_path to_recompute
+      ~target_units:(Spcf.Ctx.units_of_target target)
   in
   let fresh = Hashtbl.create 16 in
   List.iter (fun ((nm, _, _) as r) -> Hashtbl.replace fresh nm r) recomputed;

@@ -426,6 +426,20 @@ let export_snapshot () =
     s_events = List.rev st.events;
   }
 
+(* The calling domain takes a worker's share of a parallel run: it
+   records into a fresh state exactly as a spawned worker would, and
+   its own state (open spans included) comes back untouched. Exporting
+   the caller's own registry instead and merging it back into itself
+   would double every count on each run. *)
+let isolated f =
+  let saved = state () in
+  Domain.DLS.set state_key (fresh_state ());
+  Fun.protect
+    ~finally:(fun () -> Domain.DLS.set state_key saved)
+    (fun () ->
+      let r = f () in
+      (r, export_snapshot ()))
+
 let rec merge_span_into parent (w : span) =
   let t = child_of parent w.sname in
   t.calls <- t.calls + w.calls;

@@ -176,6 +176,14 @@ val export_snapshot : unit -> snapshot
     as the last thing a worker domain does, and ship the result back
     with the worker's payload. *)
 
+val isolated : (unit -> 'a) -> 'a * snapshot
+(** [isolated f] runs [f] in the calling domain under a fresh, empty
+    domain-local state, as a spawned worker would, and returns its
+    result with the snapshot of what it recorded. The caller's own
+    state is restored afterwards, also when [f] raises (its recordings
+    are then dropped). Lets a coordinating domain run one worker's
+    share itself and merge that share like any other worker's. *)
+
 val merge_snapshot : ?label:string -> snapshot -> unit
 (** Fold a worker snapshot into the calling domain: counters sum
     (high-water gauges max), histograms add bucket-wise, the worker's

@@ -1,10 +1,23 @@
 (* Shared context for SPCF computation over a technology-mapped circuit:
-   static timing, global signal BDDs, integer-grid gate delays, and a
-   cache of prime-implicant pairs per library cell.
+   static timing, global signal BDDs, integer-grid gate delays, and the
+   compiled prime-implicant tables of every gate.
 
    Delays are snapped to a 0.01-unit grid (all library delays are exact
    multiples), so stabilization times live on an integer lattice and the
-   comparison "stable by the target" is exact in integer arithmetic. *)
+   comparison "stable by the target" is exact in integer arithmetic.
+
+   Prime tables. Every SPCF recursion step at a gate walks the on-set
+   (value 1) or off-set (value 0) primes of its cell. They are compiled
+   once per context into flat literal arrays: [primes.((s lsl 1) lor v)]
+   holds gate [s]'s value-[v] primes, one [int array] per cube, each
+   literal stored as [(pin lsl 1) lor phase] with [pin] an index into
+   the gate's fanins. All gates of one cell share one table, so
+   compiling costs one prime computation per distinct cell and no
+   allocation per gate. Cube order and literal order are those of
+   [Logic2.Cover.cubes] and [Logic2.Cube.literals], so the recursions
+   issue exactly the BDD operations they did on the covers. The arrays
+   are immutable after construction, so worker domains read them
+   without synchronisation. *)
 
 type t = {
   circuit : Mapped.t;
@@ -14,7 +27,7 @@ type t = {
   funcs : Bdd.t array; (* per signal, over primary-input BDD variables *)
   delay_units : int array; (* per signal: driving-gate delay, grid units *)
   arrival_units : int array;
-  primes : (string, Logic2.Cover.t * Logic2.Cover.t) Hashtbl.t;
+  primes : int array array array; (* (signal lsl 1) lor value -> cubes *)
   budget : Budget.t; (* governs the manager; Budget.unlimited by default *)
 }
 
@@ -30,22 +43,50 @@ let c_primes_hits = Obs.counter "spcf.primes.cache_hits"
 let c_primes_computed = Obs.counter "spcf.primes.computed"
 let h_primes_cubes = Obs.histogram "spcf.primes.cover_cubes"
 
-let create ?(model = Sta.Library) ?(budget = Budget.unlimited) ?(shared = false)
-    circuit =
-  Obs.enter "spcf.ctx.create";
-  (* Budget exhaustion can raise out of [to_bdds]; keep the span tree
-     balanced on that path. *)
-  Fun.protect ~finally:Obs.leave @@ fun () ->
-  let sta = Obs.with_span "sta.analyze" (fun () -> Sta.analyze ~model circuit) in
-  let man, funcs =
-    Obs.with_span "network.to_bdds" (fun () ->
-        Network.to_bdds ~budget ~shared (Mapped.network circuit))
-  in
-  let delays = Sta.gate_delays model circuit in
-  let delay_units = Array.map units_of_delay delays in
+let table_of_cover cover =
+  Array.of_list
+    (List.map
+       (fun cube ->
+         Array.of_list
+           (List.map
+              (fun (pin, phase) -> (pin lsl 1) lor Bool.to_int phase)
+              (Logic2.Cube.literals cube)))
+       (Logic2.Cover.cubes cover))
+
+(* Primes are computed once per distinct cell ([spcf.primes.computed]);
+   every further gate of that cell reuses them ([spcf.primes.cache_hits]). *)
+let compile_primes circuit =
   let net = Mapped.network circuit in
-  let n = Network.num_signals net in
-  let arrival_units = Array.make n 0 in
+  let primes = Array.make (2 * Network.num_signals net) [||] in
+  let by_cell = Hashtbl.create 32 in
+  Array.iter
+    (fun s ->
+      match Mapped.cell_of circuit s with
+      | None -> ()
+      | Some cell ->
+        let on, off =
+          match Hashtbl.find_opt by_cell cell.Cell.cname with
+          | Some pair ->
+            Obs.incr c_primes_hits;
+            pair
+          | None ->
+            Obs.incr c_primes_computed;
+            let on, off = Logic2.Primes.onset_and_offset_primes cell.Cell.logic in
+            Obs.observe h_primes_cubes
+              (Logic2.Cover.num_cubes on + Logic2.Cover.num_cubes off);
+            let pair = (table_of_cover on, table_of_cover off) in
+            Hashtbl.replace by_cell cell.Cell.cname pair;
+            pair
+        in
+        primes.((s lsl 1) lor 1) <- on;
+        primes.(s lsl 1) <- off)
+    (Network.topo_order net);
+  primes
+
+let of_funcs ~model ~sta ~budget circuit man funcs =
+  let net = Mapped.network circuit in
+  let delay_units = Array.map units_of_delay (Sta.gate_delays model circuit) in
+  let arrival_units = Array.make (Network.num_signals net) 0 in
   Array.iter
     (fun s ->
       match Network.node_of net s with
@@ -64,40 +105,24 @@ let create ?(model = Sta.Library) ?(budget = Budget.unlimited) ?(shared = false)
     funcs;
     delay_units;
     arrival_units;
-    primes = Hashtbl.create 32;
+    primes = compile_primes circuit;
     budget;
   }
 
+let create ?(model = Sta.Library) ?(budget = Budget.unlimited) ?(shared = false)
+    circuit =
+  Obs.enter "spcf.ctx.create";
+  (* Budget exhaustion can raise out of [to_bdds]; keep the span tree
+     balanced on that path. *)
+  Fun.protect ~finally:Obs.leave @@ fun () ->
+  let sta = Obs.with_span "sta.analyze" (fun () -> Sta.analyze ~model circuit) in
+  let man, funcs =
+    Obs.with_span "network.to_bdds" (fun () ->
+        Network.to_bdds ~budget ~shared (Mapped.network circuit))
+  in
+  of_funcs ~model ~sta ~budget circuit man funcs
+
 let network t = Mapped.network t.circuit
-
-(* On-set and off-set prime implicants of the cell driving [s]. *)
-let primes_of t s =
-  match Mapped.cell_of t.circuit s with
-  | None -> invalid_arg "Ctx.primes_of: signal is not a gate"
-  | Some cell -> (
-    match Hashtbl.find_opt t.primes cell.Cell.cname with
-    | Some pair ->
-      Obs.incr c_primes_hits;
-      pair
-    | None ->
-      Obs.incr c_primes_computed;
-      let pair = Logic2.Primes.onset_and_offset_primes cell.Cell.logic in
-      Obs.observe h_primes_cubes
-        (Logic2.Cover.num_cubes (fst pair) + Logic2.Cover.num_cubes (snd pair));
-      Hashtbl.replace t.primes cell.Cell.cname pair;
-      pair)
-
-(* The primes cache is a plain Hashtbl — workers sharing one context
-   must find every cell already present so their accesses are pure
-   reads. The parallel driver calls this on the main domain before
-   spawning. *)
-let prewarm_primes t =
-  Array.iter
-    (fun s ->
-      match Mapped.cell_of t.circuit s with
-      | None -> ()
-      | Some _ -> ignore (primes_of t s : Logic2.Cover.t * Logic2.Cover.t))
-    (Network.topo_order (network t))
 
 let delta t = Sta.delta t.sta
 

@@ -8,7 +8,13 @@ type t = {
   funcs : Bdd.t array;
   delay_units : int array;
   arrival_units : int array;
-  primes : (string, Logic2.Cover.t * Logic2.Cover.t) Hashtbl.t;
+  primes : int array array array;
+      (** [primes.((s lsl 1) lor v)]: the on-set ([v = 1]) or off-set
+          ([v = 0]) prime cubes of gate [s]'s cell in cover order, each
+          an array of literals [(pin lsl 1) lor phase] in literal order,
+          [pin] indexing [Network.fanins (network t) s]; shared by all
+          gates of one cell, empty for non-gates. Immutable once
+          built. *)
   budget : Budget.t;  (** governs [man]; [Budget.unlimited] by default *)
 }
 
@@ -25,14 +31,22 @@ val create :
     context over a concurrent BDD manager ({!Bdd.create_shared}) so
     worker domains can compute SPCFs directly in it. *)
 
+val of_funcs :
+  model:Sta.delay_model ->
+  sta:Sta.t ->
+  budget:Budget.t ->
+  Mapped.t ->
+  Bdd.man ->
+  Bdd.t array ->
+  t
+(** The context over node functions already elaborated in a manager
+    ([funcs.(s)] for every signal [s] of the circuit): derives the
+    grid delays, the structural arrival times and the prime tables.
+    {!create} is [of_funcs] after [Sta.analyze] and [Network.to_bdds];
+    ECO's incremental recompute calls it with its partly reused
+    functions. *)
+
 val network : t -> Network.t
-
-val primes_of : t -> Network.signal -> Logic2.Cover.t * Logic2.Cover.t
-
-val prewarm_primes : t -> unit
-(** Populate the per-cell prime cache for every gate. Required before
-    several domains share this context: afterwards [primes_of] is a
-    pure read. *)
 
 val delta : t -> float
 val target_of_theta : t -> float -> float

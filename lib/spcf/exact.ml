@@ -32,6 +32,112 @@ let path_based_options = { arrival_shortcut = false; share_across_outputs = fals
 let value_bdd ctx s v =
   if v then ctx.Ctx.funcs.(s) else Bdd.bnot ctx.Ctx.man ctx.Ctx.funcs.(s)
 
+(* The (signal, value, budget) memo: an open-addressing table over
+   packed int keys [(budget lsl 32) lor (signal lsl 1) lor value], so a
+   probe allocates nothing but the [Some] of a hit. A memo built
+   [~shared:true] is the team memo of a parallel run: 64 stripes, each
+   behind its own mutex and selected by high hash bits, so workers take
+   each other's entries instead of recomputing them. A value is a
+   canonical handle in the one shared manager, so two workers that
+   compute the same key concurrently compute the same handle, and
+   insert-if-absent keeps the first. An unshared memo is one stripe and
+   takes no lock. *)
+module Memo = struct
+  type stripe = {
+    lock : Mutex.t;
+    mutable keys : int array; (* -1 = empty slot *)
+    mutable vals : Bdd.t array;
+    mutable count : int;
+  }
+
+  type t = { stripes : stripe array; locked : bool }
+
+  let nstripes = 64
+
+  (* Key ranges: a budget below 2^30 and a signal below 2^31 keep the
+     packed key a non-negative 63-bit int. *)
+  let max_budget = (1 lsl 30) - 1
+  let max_signal = (1 lsl 31) - 1
+
+  let stripe cap =
+    {
+      lock = Mutex.create ();
+      keys = Array.make cap (-1);
+      vals = Array.make cap Bdd.bfalse;
+      count = 0;
+    }
+
+  let create ~shared =
+    if shared then { stripes = Array.init nstripes (fun _ -> stripe 256); locked = true }
+    else { stripes = [| stripe 1024 |]; locked = false }
+
+  let[@inline] key s v budget =
+    if budget > max_budget || s > max_signal then
+      invalid_arg "Spcf.Exact: time budget or signal id out of the memo key range";
+    (budget lsl 32) lor (s lsl 1) lor Bool.to_int v
+
+  let[@inline] mix key =
+    let h = key * 0x27D4EB2F165667C5 in
+    h lxor (h lsr 32)
+
+  let[@inline] stripe_of t h =
+    if t.locked then Array.unsafe_get t.stripes ((h lsr 40) land (nstripes - 1))
+    else Array.unsafe_get t.stripes 0
+
+  (* Slot of [key] in [st], or of the empty slot that ends its probe. *)
+  let slot st h key =
+    let keys = st.keys in
+    let mask = Array.length keys - 1 in
+    let i = ref (h land mask) in
+    while
+      let k = Array.unsafe_get keys !i in
+      k <> key && k <> -1
+    do
+      i := (!i + 1) land mask
+    done;
+    !i
+
+  let grow st =
+    let keys = st.keys and vals = st.vals in
+    let cap = 2 * Array.length keys in
+    st.keys <- Array.make cap (-1);
+    st.vals <- Array.make cap Bdd.bfalse;
+    for j = 0 to Array.length keys - 1 do
+      let k = Array.unsafe_get keys j in
+      if k <> -1 then begin
+        let i = slot st (mix k) k in
+        Array.unsafe_set st.keys i k;
+        Array.unsafe_set st.vals i (Array.unsafe_get vals j)
+      end
+    done
+
+  let find t key =
+    let h = mix key in
+    let st = stripe_of t h in
+    if t.locked then Mutex.lock st.lock;
+    let i = slot st h key in
+    let r =
+      if Array.unsafe_get st.keys i = key then Some (Array.unsafe_get st.vals i) else None
+    in
+    if t.locked then Mutex.unlock st.lock;
+    r
+
+  let add t key r =
+    let h = mix key in
+    let st = stripe_of t h in
+    if t.locked then Mutex.lock st.lock;
+    let i = slot st h key in
+    if Array.unsafe_get st.keys i = -1 then begin
+      Array.unsafe_set st.keys i key;
+      Array.unsafe_set st.vals i r;
+      st.count <- st.count + 1;
+      if st.count * 4 > Array.length st.keys * 3 then grow st
+    end;
+    if t.locked then Mutex.unlock st.lock
+
+  let length t = Array.fold_left (fun acc st -> acc + st.count) 0 t.stripes
+end
+
 let c_stab_calls = Obs.counter "spcf.stability.calls"
 let c_stab_memo_hits = Obs.counter "spcf.stability.memo_hits"
 let c_stab_shortcut = Obs.counter "spcf.stability.shortcut_cuts"
@@ -40,7 +146,9 @@ let c_late_memo_hits = Obs.counter "spcf.lateness.memo_hits"
 let h_depth = Obs.histogram "spcf.recursion_depth"
 
 (* Stability S_v(s, budget) with [memo] keyed on (signal, value, budget).
-   [depth] only feeds the recursion-depth histogram. *)
+   [depth] only feeds the recursion-depth histogram. The primes come
+   from the context's compiled tables; a cube's literals are walked
+   until its conjunction is false, every cube of the cover is OR-ed in. *)
 let rec stability ctx ~opts ~memo ~depth s v budget =
   Obs.incr c_stab_calls;
   if budget < 0 then Bdd.bfalse
@@ -52,36 +160,34 @@ let rec stability ctx ~opts ~memo ~depth s v budget =
       value_bdd ctx s v
     end
     else begin
-      let key = (s, v, budget) in
-      match Hashtbl.find_opt memo key with
+      let key = Memo.key s v budget in
+      match Memo.find memo key with
       | Some r ->
         Obs.incr c_stab_memo_hits;
         r
       | None ->
         Obs.observe h_depth depth;
-        let on, off = Ctx.primes_of ctx s in
-        let cover = if v then on else off in
-        let d = ctx.Ctx.delay_units.(s) in
+        let man = ctx.Ctx.man in
+        let cubes = ctx.Ctx.primes.((s lsl 1) lor Bool.to_int v) in
         let fanins = Network.fanins net s in
-        let prime_term p =
-          List.fold_left
-            (fun acc (local, phase) ->
-              if acc = Bdd.bfalse then acc
-              else
-                let child =
-                  stability ctx ~opts ~memo ~depth:(depth + 1) fanins.(local)
-                    phase (budget - d)
-                in
-                Bdd.band ctx.Ctx.man acc child)
-            Bdd.btrue (Logic2.Cube.literals p)
-        in
-        let r =
-          List.fold_left
-            (fun acc p -> Bdd.bor ctx.Ctx.man acc (prime_term p))
-            Bdd.bfalse (Logic2.Cover.cubes cover)
-        in
-        Hashtbl.replace memo key r;
-        r
+        let budget' = budget - ctx.Ctx.delay_units.(s) in
+        let r = ref Bdd.bfalse in
+        for c = 0 to Array.length cubes - 1 do
+          let lits = Array.unsafe_get cubes c in
+          let term = ref Bdd.btrue and i = ref 0 in
+          while !i < Array.length lits && !term <> Bdd.bfalse do
+            let l = Array.unsafe_get lits !i in
+            let child =
+              stability ctx ~opts ~memo ~depth:(depth + 1) fanins.(l lsr 1)
+                (l land 1 = 1) budget'
+            in
+            term := Bdd.band man !term child;
+            incr i
+          done;
+          r := Bdd.bor man !r !term
+        done;
+        Memo.add memo key !r;
+        !r
     end
   end
 
@@ -105,7 +211,8 @@ let sigma_of_output ctx ~opts ~memo y target_units =
    where ¬S(l, T') for a literal is "wrong value or not yet stable". The
    result is identical to ¬(S₀ ∨ S₁) (checked by the test suite), but
    the conjunction-of-disjunctions expansion walks every path-suffix
-   context — the cost profile of path-based traversal. *)
+   context — the cost profile of path-based traversal. A cube's
+   disjunction stops once true, the conjunction once false. *)
 let rec lateness ctx ~memo ~depth s v budget =
   Obs.incr c_late_calls;
   let man = ctx.Ctx.man in
@@ -113,38 +220,34 @@ let rec lateness ctx ~memo ~depth s v budget =
   if budget < 0 then value_bdd ctx s v
   else if Network.is_input net s then Bdd.bfalse
   else begin
-    let key = (s, v, budget) in
-    match Hashtbl.find_opt memo key with
+    let key = Memo.key s v budget in
+    match Memo.find memo key with
     | Some r ->
       Obs.incr c_late_memo_hits;
       r
     | None ->
       Obs.observe h_depth depth;
-      let on, off = Ctx.primes_of ctx s in
-      let cover = if v then on else off in
-      let d = ctx.Ctx.delay_units.(s) in
+      let cubes = ctx.Ctx.primes.((s lsl 1) lor Bool.to_int v) in
       let fanins = Network.fanins net s in
-      (* ¬S for a literal: value mismatch, or matching but late. *)
-      let not_stable local phase =
-        let input = fanins.(local) in
-        Bdd.bor man
-          (value_bdd ctx input (not phase))
-          (lateness ctx ~memo ~depth:(depth + 1) input phase (budget - d))
-      in
-      let prime_blocked p =
-        List.fold_left
-          (fun acc (local, phase) ->
-            if acc = Bdd.btrue then acc else Bdd.bor man acc (not_stable local phase))
-          Bdd.bfalse (Logic2.Cube.literals p)
-      in
-      let blocked_all =
-        List.fold_left
-          (fun acc p ->
-            if acc = Bdd.bfalse then acc else Bdd.band man acc (prime_blocked p))
-          Bdd.btrue (Logic2.Cover.cubes cover)
-      in
-      let r = Bdd.band man (value_bdd ctx s v) blocked_all in
-      Hashtbl.replace memo key r;
+      let budget' = budget - ctx.Ctx.delay_units.(s) in
+      let blocked_all = ref Bdd.btrue and c = ref 0 in
+      while !c < Array.length cubes && !blocked_all <> Bdd.bfalse do
+        let lits = Array.unsafe_get cubes !c in
+        (* ¬S for a literal: value mismatch, or matching but late. *)
+        let blocked = ref Bdd.bfalse and i = ref 0 in
+        while !i < Array.length lits && !blocked <> Bdd.btrue do
+          let l = Array.unsafe_get lits !i in
+          let input = fanins.(l lsr 1) and phase = l land 1 = 1 in
+          let late = lateness ctx ~memo ~depth:(depth + 1) input phase budget' in
+          let not_stable = Bdd.bor man (value_bdd ctx input (not phase)) late in
+          blocked := Bdd.bor man !blocked not_stable;
+          incr i
+        done;
+        blocked_all := Bdd.band man !blocked_all !blocked;
+        incr c
+      done;
+      let r = Bdd.band man (value_bdd ctx s v) !blocked_all in
+      Memo.add memo key r;
       r
   end
 
@@ -161,10 +264,11 @@ let sigma_of_output_lateness ctx ~memo y target_units =
 
 (* Per-output SPCFs for an explicit output set — the unit of work the
    domain-parallel driver (Spcf.Parallel) hands to each worker. The memo
-   is shared across the given outputs exactly when the options say so,
-   matching the sequential algorithms' cost profile per worker. *)
-let sigmas ctx ~opts ~outputs ~target_units =
-  let memo = Hashtbl.create 4096 in
+   ([memo], else a fresh unshared one) is shared across the given
+   outputs exactly when the options say so; otherwise each output gets
+   a fresh memo of its own. *)
+let sigmas ?memo ctx ~opts ~outputs ~target_units =
+  let shared = match memo with Some m -> m | None -> Memo.create ~shared:false in
   Array.to_list outputs
   |> List.map (fun (name, y) ->
          (* Un-amortized checkpoint at each output boundary: a worker
@@ -172,7 +276,9 @@ let sigmas ctx ~opts ~outputs ~target_units =
             before starting the next cone even if its own op counter
             is cold. *)
          Budget.poll ctx.Ctx.budget;
-         if not opts.share_across_outputs then Hashtbl.reset memo;
+         let memo =
+           if opts.share_across_outputs then shared else Memo.create ~shared:false
+         in
          let sigma =
            Obs.with_span ("output:" ^ name) (fun () ->
                sigma_of_output ctx ~opts ~memo y target_units)
@@ -200,7 +306,7 @@ let sigmas_lateness ctx ~outputs ~target_units =
   Array.to_list outputs
   |> List.map (fun (name, y) ->
          Budget.poll ctx.Ctx.budget;
-         let memo = Hashtbl.create 4096 in
+         let memo = Memo.create ~shared:false in
          let sigma =
            Obs.with_span ("output:" ^ name) (fun () ->
                sigma_of_output_lateness ctx ~memo y target_units)
@@ -226,7 +332,7 @@ let path_based ctx ~target =
 let floating_delay ctx s =
   let man = ctx.Ctx.man in
   let stable_at t =
-    let memo = Hashtbl.create 256 in
+    let memo = Memo.create ~shared:false in
     let s1 = stability ctx ~opts:proposed_options ~memo ~depth:0 s true t in
     let s0 = stability ctx ~opts:proposed_options ~memo ~depth:0 s false t in
     Bdd.bor man s0 s1 = Bdd.btrue
@@ -244,7 +350,10 @@ let floating_delay ctx s =
 
 (* Exact floating-mode stabilization times (in grid units) of every
    signal for one concrete input pattern — the reference semantics used
-   by tests and by brute-force SPCF cross-validation. *)
+   by tests and by brute-force SPCF cross-validation. A gate settles at
+   the earliest of its consistent primes (those of its final value
+   whose literals all hold), each settling one delay after its latest
+   literal source. *)
 let pattern_arrivals ctx pattern =
   let net = Ctx.network ctx in
   let values = Network.eval net pattern in
@@ -252,29 +361,24 @@ let pattern_arrivals ctx pattern =
   let arrival = Array.make n 0 in
   Array.iter
     (fun s ->
-      match Network.node_of net s with
-      | None -> ()
-      | Some nd ->
-        let on, off = Ctx.primes_of ctx s in
-        let cover = if values.(s) then on else off in
+      if not (Network.is_input net s) then begin
+        let cubes = ctx.Ctx.primes.((s lsl 1) lor Bool.to_int values.(s)) in
+        let fanins = Network.fanins net s in
         let d = ctx.Ctx.delay_units.(s) in
-        let consistent p =
-          List.for_all
-            (fun (local, phase) -> values.(nd.Network.fanins.(local)) = phase)
-            (Logic2.Cube.literals p)
+        let consistent lits =
+          Array.for_all (fun l -> values.(fanins.(l lsr 1)) = (l land 1 = 1)) lits
         in
-        let prime_time p =
-          List.fold_left
-            (fun acc (local, _) -> max acc (arrival.(nd.Network.fanins.(local)) + d))
-            d (Logic2.Cube.literals p)
+        let prime_time lits =
+          Array.fold_left (fun acc l -> max acc (arrival.(fanins.(l lsr 1)) + d)) d lits
         in
         let best =
-          List.fold_left
-            (fun acc p -> if consistent p then min acc (prime_time p) else acc)
-            max_int (Logic2.Cover.cubes cover)
+          Array.fold_left
+            (fun acc lits -> if consistent lits then min acc (prime_time lits) else acc)
+            max_int cubes
         in
         (* Every pattern satisfies some prime of the on-set or off-set. *)
         assert (best < max_int);
-        arrival.(s) <- best)
+        arrival.(s) <- best
+      end)
     (Network.topo_order net);
   (values, arrival)

@@ -12,10 +12,28 @@ type options = {
 val proposed_options : options
 val path_based_options : options
 
+(** The (signal, value, time budget) stability memo: an open-addressing
+    table over packed int keys. *)
+module Memo : sig
+  type t
+
+  val create : shared:bool -> t
+  (** [~shared:true] is the team memo of a parallel run: striped, each
+      stripe behind a mutex, safe to use from several domains computing
+      in one shared manager. Entries are insert-if-absent; since a
+      value is a canonical handle, a key computed twice by two workers
+      holds the same value either way. [~shared:false] takes no lock
+      and belongs to one domain. *)
+
+  val length : t -> int
+  (** Distinct keys held. *)
+end
+
 val compute :
   Ctx.t -> opts:options -> algorithm:string -> target:float -> Ctx.result
 
 val sigmas :
+  ?memo:Memo.t ->
   Ctx.t ->
   opts:options ->
   outputs:(string * Network.signal) array ->
@@ -23,7 +41,9 @@ val sigmas :
   (string * Network.signal * Bdd.t) list
 (** Per-output SPCFs for an explicit output set (no [Ctx.result]
     wrapper) — the unit of work one parallel worker performs. The memo
-    is shared across the given outputs iff [opts.share_across_outputs]. *)
+    ([memo], default a fresh unshared one) is shared across the given
+    outputs iff [opts.share_across_outputs]; a team of workers passes
+    one [Memo.create ~shared:true] to share it across the team too. *)
 
 val sigmas_lateness :
   Ctx.t ->

@@ -45,24 +45,28 @@ let compute ctx ~target =
                     let pin_long i =
                       arrival_units.(i) + d + tail_units.(s) > target_units
                     in
-                    let in_time local phase =
-                      let i = nd.Network.fanins.(local) in
-                      let lit = value_bdd ctx i phase in
+                    let in_time l =
+                      let i = nd.Network.fanins.(l lsr 1) in
+                      let lit = value_bdd ctx i (l land 1 = 1) in
                       if pin_long i then Bdd.band ctx.Ctx.man lit stable.(i) else lit
                     in
-                    let prime_term p =
-                      List.fold_left
-                        (fun acc (local, phase) ->
+                    let prime_term lits =
+                      Array.fold_left
+                        (fun acc l ->
                           if acc = Bdd.bfalse then acc
-                          else Bdd.band ctx.Ctx.man acc (in_time local phase))
-                        Bdd.btrue (Logic2.Cube.literals p)
+                          else Bdd.band ctx.Ctx.man acc (in_time l))
+                        Bdd.btrue lits
                     in
-                    let on, off = Ctx.primes_of ctx s in
-                    let all_primes = Logic2.Cover.cubes on @ Logic2.Cover.cubes off in
+                    (* On-set primes first, then off-set primes. *)
+                    let or_primes acc cubes =
+                      Array.fold_left
+                        (fun acc lits -> Bdd.bor ctx.Ctx.man acc (prime_term lits))
+                        acc cubes
+                    in
                     stable.(s) <-
-                      List.fold_left
-                        (fun acc p -> Bdd.bor ctx.Ctx.man acc (prime_term p))
-                        Bdd.bfalse all_primes
+                      or_primes
+                        (or_primes Bdd.bfalse ctx.Ctx.primes.((s lsl 1) lor 1))
+                        ctx.Ctx.primes.(s lsl 1)
                   end)
               (Network.topo_order net));
         Array.to_list (Sta.critical_outputs ctx.Ctx.sta ~target)

@@ -54,12 +54,18 @@ let test_jobs_env () =
   let set v = Unix.putenv "EMASK_JOBS" v in
   set "3";
   check_int "valid value" 3 (Spcf.Parallel.default_jobs ());
+  check_int "valid value wins over the hardware default" 3 (Spcf.Parallel.auto_jobs ());
   set "";
   check_int "empty means sequential" 1 (Spcf.Parallel.default_jobs ());
+  check_int "empty means the hardware default"
+    (max 1 (min 8 (Domain.recommended_domain_count ())))
+    (Spcf.Parallel.auto_jobs ());
   List.iter
     (fun bad ->
       set bad;
-      check ("reject " ^ bad) true (raises_invalid Spcf.Parallel.default_jobs))
+      check ("reject " ^ bad) true (raises_invalid Spcf.Parallel.default_jobs);
+      check ("auto rejects " ^ bad) true
+        (raises_invalid (fun () -> Spcf.Parallel.auto_jobs ())))
     [ "abc"; "0"; "-4" ];
   set ""
 
