@@ -38,19 +38,14 @@
      preallocated spine of stride-3 chunks (var/low/high adjacent for
      cache locality); node ids are claimed from an atomic counter, so
      handles never move once published. The unique table is striped:
-     64 independent open-addressing sub-tables, each with its own
-     mutex, selected by high hash bits. Lookups are lock-free (slots
-     are [int Atomic.t]; an acquire read of a published slot makes the
-     node's plain fields visible — the slot-publication protocol of
-     DESIGN.md §13); inserts take the stripe lock, re-probe, claim an
-     id, write the fields, and only then publish the slot with a
-     release store. Stripe growth is cooperative: the lock holder
-     partitions the old table into segments and any domain that
-     arrives at the busy stripe helps copy segments, CAS-ing node ids
-     into the new table. The computed cache stays per-domain
-     (Domain.DLS) so the ~90% hit path never touches shared cache
-     lines; [clear_caches] bumps a global generation that orphans
-     every domain's entries at their next operation.
+     64 independent open-addressing sub-tables of plain ints, each
+     with its own mutex, selected by high hash bits. Every probe and
+     insert of a stripe runs under its lock, and the lock holder grows
+     the stripe alone with the sequential reinsert loop (the locked
+     stripe protocol of DESIGN.md §13). The computed cache stays
+     per-domain (Domain.DLS) so the ~90% hit path never touches shared
+     cache lines; [clear_caches] bumps a global generation that
+     orphans every domain's entries at their next operation.
 
    Cell elaboration ([cover_with]) compiles every cover of at most 5
    variables into a short AND/XOR/ITE program once and replays it per
@@ -76,11 +71,8 @@ let c_unique_rehash = Obs.counter "bdd.unique.rehash_events"
 let c_grow = Obs.counter "bdd.grow_events"
 let c_nodes_max = Obs.counter "bdd.nodes.max"
 
-(* Contention probes for the shared backend. *)
+(* Contention probe for the shared backend. *)
 let c_stripe_waits = Obs.counter "bdd.shared.stripe_waits"
-let c_insert_races = Obs.counter "bdd.shared.insert_races"
-let c_cas_retries = Obs.counter "bdd.shared.cas_retries"
-let c_rehash_coop = Obs.counter "bdd.shared.rehash_coop"
 
 (* Integer mix of a (var, low, high) triple: three odd multipliers from
    the murmur3/splitmix64 finalizers, then a 64-bit avalanche. The
@@ -131,22 +123,14 @@ let chunk_nodes = 1 lsl chunk_bits
 let chunk_mask = chunk_nodes - 1
 let nstripes = 64
 
-(* Old-table entries per cooperative-rehash segment. *)
-let seg_entries = 512
-
-type rehash = {
-  r_src : int Atomic.t array;
-  r_dst : int Atomic.t array;
-  r_next_seg : int Atomic.t; (* next segment index to claim *)
-  r_done_segs : int Atomic.t; (* segments fully copied *)
-  r_nsegs : int;
-}
-
+(* One unique-table stripe: open addressing over node ids, capacity a
+   power of two. Both mutable fields are read and written only under
+   [st_lock] ([unique_capacity], a diagnostic, reads the length at
+   quiescence). *)
 type stripe = {
   st_lock : Mutex.t;
-  st_slots : int Atomic.t array Atomic.t;
-  mutable st_count : int; (* interned nodes; only touched under the lock *)
-  st_rehash : rehash option Atomic.t; (* active cooperative rehash, if any *)
+  mutable st_slots : int array;
+  mutable st_count : int; (* interned nodes *)
 }
 
 type shr = {
@@ -229,12 +213,7 @@ let create_shared ?cache_bits ~nvars () =
   c0.(0) <- nvars;
   chunks.(0) <- c0;
   let stripe () =
-    {
-      st_lock = Mutex.create ();
-      st_slots = Atomic.make (Array.init 64 (fun _ -> Atomic.make 0));
-      st_count = 0;
-      st_rehash = Atomic.make None;
-    }
+    { st_lock = Mutex.create (); st_slots = Array.make 64 0; st_count = 0 }
   in
   {
     nvars;
@@ -260,10 +239,10 @@ let budget man = man.budget
 
 let nvars man = man.nvars
 
-(* Shared-backend field access by node id. A node id is only ever
-   obtained through an acquire (slot read, [limit] read,
-   Domain.spawn/join), which makes the plain chunk writes behind it
-   visible — see DESIGN.md §13. *)
+(* Shared-backend field access by node id. A node id only ever reaches
+   a domain through a stripe lock, another mutex (the SPCF team memo)
+   or Domain.spawn/join, each of which makes the plain chunk writes
+   behind it visible — see DESIGN.md §13. *)
 let[@inline] sh_var h n =
   Array.unsafe_get (Array.unsafe_get h.chunks (n lsr chunk_bits)) ((n land chunk_mask) * 3)
 
@@ -284,9 +263,7 @@ let unique_capacity man =
   match man.tab with
   | Seq s -> s.umask + 1
   | Shr h ->
-    Array.fold_left
-      (fun acc st -> acc + Array.length (Atomic.get st.st_slots))
-      0 h.stripes
+    Array.fold_left (fun acc st -> acc + Array.length st.st_slots) 0 h.stripes
 
 let cache_capacity man =
   match man.tab with Seq s -> s.cmask + 1 | Shr h -> 1 lsl h.s_cache_bits
@@ -560,105 +537,36 @@ and ite_step_seq man s f g h =
     r
   end
 
-(* ---------- shared mk: striped table, cooperative rehash ---------- *)
+(* ---------- shared mk: locked stripes ---------- *)
 
-(* Copy the claimed segments of a live rehash into the destination
-   table. Called by the stripe-lock holder and by any domain that finds
-   the stripe busy: segments are claimed from an atomic counter, and
-   ids are CAS-ed into the destination so two helpers can never
-   double-fill a slot. No lock is held by helpers, so helping never
-   deadlocks. *)
-(* Insert node id [n] into rehash destination [dst]: probe from its
-   hash; stop as soon as some copier is seen to have placed [n]
-   already. Cells only ever go 0 -> id, and [n] always lands at the
-   first cell that was empty in its probe order, so a later walk for
-   the same [n] must encounter it before any empty cell — which makes
-   the copy idempotent and lets two copiers cover the same range. *)
-let sh_rehash_insert h dst dmask n =
-  let j = ref (mix3 (sh_var h n) (sh_low h n) (sh_high h n) land dmask) in
-  let placing = ref true in
-  while !placing do
-    let cell = Array.unsafe_get dst !j in
-    let v = Atomic.get cell in
-    if v = n then placing := false
-    else if v = 0 then begin
-      if Atomic.compare_and_set cell 0 n then placing := false
-      else
-        (* Re-examine the same cell: the winning writer may have
-           published exactly [n]. *)
-        Obs.incr c_cas_retries
-    end
-    else j := (!j + 1) land dmask
-  done
-
-let sh_copy_range h (r : rehash) lo hi =
-  let dst = r.r_dst in
-  let dmask = Array.length dst - 1 in
-  for i = lo to hi do
-    let n = Atomic.get (Array.unsafe_get r.r_src i) in
-    if n <> 0 then sh_rehash_insert h dst dmask n
-  done
-
-let sh_rehash_work h (r : rehash) =
-  let seg_len = Array.length r.r_src / r.r_nsegs in
-  let rec claim () =
-    let seg = Atomic.fetch_and_add r.r_next_seg 1 in
-    if seg < r.r_nsegs then begin
-      let base = seg * seg_len in
-      sh_copy_range h r base (base + seg_len - 1);
-      ignore (Atomic.fetch_and_add r.r_done_segs 1 : int);
-      claim ()
-    end
-  in
-  claim ()
-
-(* Grow one stripe. The caller holds the stripe lock, so no new ids can
-   be published into the source table; lock-free readers may keep
-   probing it until the swap, which is safe (they either hit a
-   published node or fall through to the locked path). Completeness of
-   the copy before the swap does NOT wait on helpers: a helper that
-   claimed a segment and was then descheduled must not stall the
-   grower — on an oversubscribed machine, spinning here burns the very
-   timeslice that helper needs to finish. Instead, if any claimed
-   segment is still unfinished after the grower's own claim loop, the
-   grower redoes the whole copy (idempotent, see [sh_rehash_insert])
-   and swaps; the stalled helper's remaining walk is a no-op against
-   the live table, because every id it would insert is already
-   present. Per-cell visibility needs no extra ceremony: node fields
-   are published before an id ever enters any table, and each slot is
-   its own release/acquire pair. *)
+(* Double one stripe and reinsert its nodes: the reinsert loop of
+   [unique_rehash], run over the stripe's own slots. The caller holds
+   the stripe lock, which is also the only way any domain reads the
+   slots, so no reader can see the old table after the swap or a
+   half-filled new one. The new table is a plain [int array]: building
+   it allocates no young block, so it never forces a minor collection. *)
 let sh_grow_stripe h st =
   Obs.incr c_unique_rehash;
   Obs.instant "bdd.unique.rehash";
-  let src = Atomic.get st.st_slots in
-  let cap = Array.length src in
-  let dst = Array.init (cap * 2) (fun _ -> Atomic.make 0) in
-  let nsegs = if cap <= seg_entries then 1 else cap / seg_entries in
-  let r =
-    {
-      r_src = src;
-      r_dst = dst;
-      r_next_seg = Atomic.make 0;
-      r_done_segs = Atomic.make 0;
-      r_nsegs = nsegs;
-    }
-  in
-  Atomic.set st.st_rehash (Some r);
-  sh_rehash_work h r;
-  if Atomic.get r.r_done_segs < nsegs then sh_copy_range h r 0 (cap - 1);
-  Atomic.set st.st_slots dst;
-  Atomic.set st.st_rehash None
+  let src = st.st_slots in
+  let mask' = (Array.length src * 2) - 1 in
+  let dst = Array.make (mask' + 1) 0 in
+  for k = 0 to Array.length src - 1 do
+    let n = Array.unsafe_get src k in
+    if n <> 0 then begin
+      let j = ref (mix3 (sh_var h n) (sh_low h n) (sh_high h n) land mask') in
+      while Array.unsafe_get dst !j <> 0 do
+        j := (!j + 1) land mask'
+      done;
+      Array.unsafe_set dst !j n
+    end
+  done;
+  st.st_slots <- dst
 
-(* Take the stripe lock; if it is contended, spend the wait helping an
-   in-flight rehash of the same stripe instead of just blocking. *)
-let sh_lock_stripe h st =
+(* Take the stripe lock, counting the times it was found held. *)
+let[@inline] sh_lock_stripe st =
   if not (Mutex.try_lock st.st_lock) then begin
     Obs.incr c_stripe_waits;
-    (match Atomic.get st.st_rehash with
-    | Some r ->
-      Obs.incr c_rehash_coop;
-      sh_rehash_work h r
-    | None -> ());
     Mutex.lock st.st_lock
   end
 
@@ -681,25 +589,18 @@ let sh_ensure h id =
 let[@inline] sh_stripe_of h hash =
   Array.unsafe_get h.stripes ((hash lsr 45) land (nstripes - 1))
 
-(* Find-or-insert under the stripe lock. The probe runs on the current
-   table (a rehash may have swapped it since the lock-free attempt). *)
-let sh_insert_locked man h st hash v lo hi =
-  let tab = Atomic.get st.st_slots in
+(* [intern_seq] on one stripe; the caller holds its lock. *)
+let sh_intern_locked man h st hash v lo hi =
+  let tab = st.st_slots in
   let mask = Array.length tab - 1 in
-  (* Walk to the triple's node or to the empty slot ending its probe.
-     Only the lock holder publishes into the live table, so the slot
-     read last still holds what the walk saw. *)
   let i = ref (hash land mask) in
-  let n = ref (Atomic.get (Array.unsafe_get tab !i)) in
+  let n = ref (Array.unsafe_get tab !i) in
   while !n <> 0 && not (sh_var h !n = v && sh_low h !n = lo && sh_high h !n = hi) do
     i := (!i + 1) land mask;
-    n := Atomic.get (Array.unsafe_get tab !i)
+    n := Array.unsafe_get tab !i
   done;
   if !n <> 0 then begin
-    (* Another domain interned the same triple between our lock-free
-       miss and the lock acquisition. *)
     Obs.incr c_unique_hits;
-    Obs.incr c_insert_races;
     !n
   end
   else begin
@@ -714,9 +615,7 @@ let sh_insert_locked man h st hash v lo hi =
     Array.unsafe_set chunk (base + 2) hi;
     Obs.incr c_unique_inserts;
     Obs.record_max c_nodes_max (id + 1);
-    (* Publication point: after this release store any domain that
-       reads the slot sees the fields written above. *)
-    Atomic.set (Array.unsafe_get tab !i) id;
+    Array.unsafe_set tab !i id;
     st.st_count <- st.st_count + 1;
     if st.st_count * 4 > (mask + 1) * 3 then sh_grow_stripe h st;
     id
@@ -727,34 +626,16 @@ let sh_insert_locked man h st hash v lo hi =
 let intern_shr man h v lo hi =
   let hash = mix3 v lo hi in
   let st = sh_stripe_of h hash in
-  (* Lock-free probe on the current table. A concurrent rehash can
-     leave us scanning the superseded table; that only ever produces
-     a miss (never a wrong hit — published nodes are immutable), and
-     the locked path below re-probes the live table. *)
-  let tab = Atomic.get st.st_slots in
-  let mask = Array.length tab - 1 in
-  let i = ref (hash land mask) in
-  let n = ref (Atomic.get (Array.unsafe_get tab !i)) in
-  while !n <> 0 && not (sh_var h !n = v && sh_low h !n = lo && sh_high h !n = hi) do
-    i := (!i + 1) land mask;
-    n := Atomic.get (Array.unsafe_get tab !i)
-  done;
-  if !n > 0 then begin
-    Obs.incr c_unique_hits;
-    !n
-  end
-  else begin
-    sh_lock_stripe h st;
-    match sh_insert_locked man h st hash v lo hi with
-    | id ->
-      Mutex.unlock st.st_lock;
-      id
-    | exception e ->
-      (* Budget exhaustion must not leave the stripe locked: other
-         workers still drain their cancellation through [mk]. *)
-      Mutex.unlock st.st_lock;
-      raise e
-  end
+  sh_lock_stripe st;
+  match sh_intern_locked man h st hash v lo hi with
+  | id ->
+    Mutex.unlock st.st_lock;
+    id
+  | exception e ->
+    (* Budget exhaustion must not leave the stripe locked: other
+       workers still drain their cancellation through [mk]. *)
+    Mutex.unlock st.st_lock;
+    raise e
 
 (* The same normalisation as [mk_seq]: the complement of a high edge
    moves onto the result, so both backends intern identical triples. *)

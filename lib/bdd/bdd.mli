@@ -34,8 +34,11 @@ val create_shared : ?cache_bits:int -> nvars:int -> unit -> man
     safe to call from any domain. The ite computed cache is per-domain
     ([Domain.DLS]): it starts at 2^12 entries and doubles with use up
     to [2^cache_bits] (default 2^16), so freshly spawned worker
-    domains pay no up-front megabyte allocation. Single-domain use is
-    supported but slower than [create]; see DESIGN.md §13. *)
+    domains pay no up-front megabyte allocation. A handle handed from
+    one domain to another must cross a mutex or
+    [Domain.spawn]/[Domain.join] (a racy store is not enough): that
+    is what makes the node fields behind it visible. Single-domain use
+    is supported but slower than [create]; see DESIGN.md §13. *)
 
 val is_shared : man -> bool
 

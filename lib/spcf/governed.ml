@@ -74,7 +74,7 @@ let jobs_of jobs = if jobs >= 1 then jobs else Parallel.default_jobs ()
 let run_tier ?(jobs = 0) ~model ~budget ~theta tier algorithm circuit =
   let jobs = jobs_of jobs in
   let algorithm = if tier = Exact then algorithm else Node_based in
-  let shared = jobs > 1 && tier = Exact && algorithm <> Node_based in
+  let shared = Parallel.needs_shared ~jobs && tier = Exact && algorithm <> Node_based in
   let ctx = Ctx.create ~model ~budget ~shared circuit in
   let target = Ctx.target_of_theta ctx theta in
   let result =

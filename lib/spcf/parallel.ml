@@ -128,6 +128,10 @@ type 'b outcome =
   | Out_of_budget of Budget.reason
   | Raised of exn * Printexc.raw_backtrace
 
+(* The backend rule: more than one worker means several domains in one
+   manager. *)
+let needs_shared ~jobs = jobs > 1
+
 (* The one round-robin domain map. Worker j owns items j, j+k, j+2k,
    ... — deterministic, and it interleaves neighbouring (often
    similar-sized) cones across workers. Every worker computes directly
@@ -144,7 +148,7 @@ type 'b outcome =
    own Obs state ([Obs.isolated]) and merges as "worker 1", like any
    spawned worker's snapshot. *)
 let map ctx ~jobs items f =
-  if jobs > 1 && not (Bdd.is_shared ctx.Ctx.man) then
+  if needs_shared ~jobs && not (Bdd.is_shared ctx.Ctx.man) then
     invalid_arg
       (Printf.sprintf
          "Spcf.Parallel: jobs = %d needs a shared-manager context (Ctx.create \

@@ -40,6 +40,11 @@ val compute : ?jobs:int -> Ctx.t -> algorithm:algorithm -> target:float -> Ctx.r
 val short_path : ?jobs:int -> Ctx.t -> target:float -> Ctx.result
 val path_based : ?jobs:int -> Ctx.t -> target:float -> Ctx.result
 
+val needs_shared : jobs:int -> bool
+(** Whether a run with [jobs] workers needs a shared-manager context
+    ([Ctx.create ~shared:true]): [jobs > 1]. Every caller that builds a
+    context for {!map} or {!compute} picks its backend with this. *)
+
 val map : Ctx.t -> jobs:int -> 'a array -> ('a array -> 'b list) -> 'b list
 (** [map ctx ~jobs items f] is [f items] computed by [k = min jobs n]
     workers over the context's manager — the one round-robin map

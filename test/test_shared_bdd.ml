@@ -247,6 +247,33 @@ let test_cells_concurrent () =
     results;
   assert_canonical man
 
+(* Stripe growth must not allocate per slot. One domain interns the
+   2^15 minterms of 16 variables (about 65k fresh nodes, so each of the
+   64 stripes doubles from 64 slots to 2k or more); the apply ops and
+   node store allocate nothing young, and a plain-int stripe below 257
+   slots is the only young array growth makes. So the minor-heap words
+   are bounded by the stripe count. A table of boxed slots allocates
+   two words per slot on every doubling, which scales with the node
+   count and exceeds this bound about eight times over (plain-int
+   stripes allocate about 25k words here, boxed slots about 540k). *)
+let test_growth_allocation_bounded () =
+  let bits = 16 in
+  let man = Bdd.create_shared ~nvars:bits () in
+  let w0 = Gc.minor_words () in
+  for m = 0 to (1 lsl (bits - 1)) - 1 do
+    let r = ref Bdd.btrue in
+    for v = bits - 1 downto 0 do
+      let lit = if (m lsr v) land 1 = 1 then Bdd.var man v else Bdd.nvar man v in
+      r := Bdd.band man lit !r
+    done
+  done;
+  let words = Gc.minor_words () -. w0 in
+  check "at least 50k nodes" true (Bdd.num_nodes man >= 50_000);
+  check "unique table grew 16-fold" true (Bdd.unique_capacity man >= 16 * 64 * 64);
+  let bound = float_of_int (64 * 1024) in
+  if words > bound then
+    Alcotest.failf "stripe growth allocated %.0f minor words (bound %.0f)" words bound
+
 (* ---------- jobs byte-identity over the fuzzed corpus ---------- *)
 
 let corpus =
@@ -326,6 +353,8 @@ let () =
             test_shared_node_wall;
           Alcotest.test_case "compiled cells from concurrent domains" `Quick
             test_cells_concurrent;
+          Alcotest.test_case "stripe growth allocation bounded by stripe count" `Quick
+            test_growth_allocation_bounded;
         ] );
       ( "jobs-identity",
         [
