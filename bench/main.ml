@@ -56,13 +56,12 @@ let spcf_case algo_name algo circuit_name =
           ignore (Sys.opaque_identity (Spcf.Ctx.num_critical_outputs r)));
   }
 
-(* Shared-manager parallel short-path. theta 0.5 keeps several outputs
-   critical on every table1 circuit, so jobs > 1 actually fans out
-   across domains (at theta 0.9 some circuits have a single critical
-   output and the parallel driver degenerates to sequential). The
-   jobs=1 twin runs the same workload through the sequential backend,
-   so the jobs4/jobs1 ratio is the speedup of the concurrent unique
-   table on identical work. *)
+(* Parallel short-path. theta 0.5 keeps several outputs critical on
+   every table1 circuit, so jobs > 1 actually fans out across domains
+   (at theta 0.9 some circuits have a single critical output and the
+   parallel driver degenerates to sequential). The jobs=1 twin runs the
+   same workload on one domain over the same BDD manager kind, so the
+   jobs4/jobs1 ratio is the parallel speedup on identical work. *)
 let parallel_case jobs circuit_name =
   {
     cname = sprintf "table1/%s/short-path-jobs%d" circuit_name jobs;
@@ -71,7 +70,7 @@ let parallel_case jobs circuit_name =
         let net = Suite.load circuit_name in
         let mc = Mapper.map net in
         fun () ->
-          let ctx = Spcf.Ctx.create ~shared:(jobs > 1) mc in
+          let ctx = Spcf.Ctx.create mc in
           let target = Spcf.Ctx.target_of_theta ctx 0.5 in
           let r = Spcf.Parallel.short_path ~jobs ctx ~target in
           ignore (Sys.opaque_identity (Spcf.Ctx.num_critical_outputs r)));

@@ -64,9 +64,6 @@ let obs_term =
     const (fun s j t p -> (s, j, t, p))
     $ stats_arg $ Cli.stats_json $ Cli.trace $ prom_arg)
 
-let env_truthy name =
-  match Sys.getenv_opt name with None | Some "" | Some "0" -> false | Some _ -> true
-
 (* Run [f] under a root span; afterwards write the requested export
    files, print the report when asked for, and append the run-ledger
    record. With no flag, no EMASK_OBS and no EMASK_LEDGER, collection
@@ -89,7 +86,7 @@ let with_obs (stats, json, trace_out, prom) name f =
     Printf.eprintf "trace written to %s\n%!" path
   | None -> ());
   (match prom with Some path -> Obs_prom.write_file path | None -> ());
-  if stats || env_truthy "EMASK_OBS" then Obs_report.print stdout;
+  if stats || Obs.env_truthy "EMASK_OBS" then Obs_report.print stdout;
   Obs_ledger.append ~cmd:name ();
   r
 

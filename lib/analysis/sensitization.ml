@@ -298,8 +298,7 @@ let analyze_ctx ?(band = 0.1) ?(max_paths = 4096) ?jobs ctx =
 
 let analyze ?model ?(band = 0.1) ?(max_paths = 4096) ?jobs ?budget circuit =
   let jobs = match jobs with Some j -> max 1 j | None -> 1 in
-  let shared = Spcf.Parallel.needs_shared ~jobs in
-  match Spcf.Ctx.create ?model ?budget ~shared circuit with
+  match Spcf.Ctx.create ?model ?budget circuit with
   | ctx -> analyze_ctx ~band ~max_paths ~jobs ctx
   | exception Budget.Budget_exceeded r ->
     (* The budget died while the context built the circuit's BDDs:

@@ -64,17 +64,16 @@ val analyze :
   Mapped.t ->
   report
 (** Build a context and classify. [band] defaults to [0.1],
-    [max_paths] to [4096], [jobs] to [1]; [jobs > 1] builds a
-    shared-manager context and fans classification across domains via
-    [Spcf.Parallel]. Budget exhaustion never escapes: a path whose
-    classification runs out is [Unknown], and if the budget dies while
+    [max_paths] to [4096], [jobs] to [1]; [jobs > 1] fans
+    classification across domains via [Spcf.Parallel]. Budget
+    exhaustion never escapes: a path whose classification runs out is
+    [Unknown], and if the budget dies while
     the circuit's BDDs are built, every path is [Unknown]. Raises
     [Invalid_argument] on [band] outside [[0, 1]] or [max_paths < 1]. *)
 
 val analyze_ctx : ?band:float -> ?max_paths:int -> ?jobs:int -> Spcf.Ctx.t -> report
 (** Same over an existing context (the synthesis integration point),
-    fanned out by [Spcf.Parallel.map]: [jobs > 1] requires a
-    shared-manager context and raises [Invalid_argument] otherwise. *)
+    fanned out by [Spcf.Parallel.map]. *)
 
 val classify_paths : Spcf.Ctx.t -> Paths.path list -> classified list
 (** Classify an explicit path subset sequentially (one shared

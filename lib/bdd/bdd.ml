@@ -3,19 +3,18 @@
    a computed table, per manager. Variables are 0 .. nvars-1 in fixed
    order.
 
-   Handle encoding (one encoding, both backends). A handle is
-   [(node lsl 1) lor c]: bit 0 is the complement flag, the rest a node
-   id. Node 0 is the only terminal and stands for false, so
-   [bfalse = 0] and [btrue = 1] (the complemented terminal). A node
-   stores (var, low, high) where [low] may be complemented but [high]
-   is always regular; [mk] restores that invariant by complementing
-   both children and the result, which keeps the representation
-   canonical: equal functions have equal handles, and [bnot] is
-   [lxor 1] — no traversal, no new node. The cofactor accessors
-   ([var_of]/[low_of]/[high_of]) propagate the complement flag, so a
-   walker that only sees handles observes the plain ROBDD of the
-   function (every exported DAG, ISOP and satcount is unchanged by the
-   encoding).
+   Handle encoding. A handle is [(node lsl 1) lor c]: bit 0 is the
+   complement flag, the rest a node id. Node 0 is the only terminal and
+   stands for false, so [bfalse = 0] and [btrue = 1] (the complemented
+   terminal). A node stores (var, low, high) where [low] may be
+   complemented but [high] is always regular; [mk] restores that
+   invariant by complementing both children and the result, which keeps
+   the representation canonical: equal functions have equal handles,
+   and [bnot] is [lxor 1] — no traversal, no new node. The cofactor
+   accessors ([var_of]/[low_of]/[high_of]) propagate the complement
+   flag, so a walker that only sees handles observes the plain ROBDD of
+   the function (every exported DAG, ISOP and satcount is unchanged by
+   the encoding).
 
    Apply operations: [ite] normalises its arguments to a standard
    triple (f and g regular, complement factored onto the result) and
@@ -26,26 +25,27 @@
    allocation) and share one direct-mapped computed table whose key
    carries an op tag. Every step counts as a [bdd.ite.*] call.
 
-   A manager has one of two storage backends (see DESIGN.md §8 and §13):
+   Storage (DESIGN.md §8 and §13). Every manager may be grown by
+   several domains at once; a single domain pays one uncontended
+   [Mutex.try_lock] per unique-table probe for that.
 
-   - [Seq] — the single-domain backend: flat int arrays for the node
-     store, an open-addressing unique table with linear probing, and a
-     lossy direct-mapped computed table with packed keys. No atomics,
-     no locks, no indirection on the hot path.
+   - Nodes live in stride-3 chunks of 2^12 nodes (var/low/high
+     adjacent for cache locality) hung off a spine that doubles under
+     the allocation lock. Node ids are claimed from an atomic counter,
+     so a published node never moves, and a fresh manager allocates a
+     single small chunk.
 
-   - [Shr] — the shared-memory backend ([create_shared]): one unique
-     table that several domains grow concurrently. The node store is a
-     preallocated spine of stride-3 chunks (var/low/high adjacent for
-     cache locality); node ids are claimed from an atomic counter, so
-     handles never move once published. The unique table is striped:
-     64 independent open-addressing sub-tables of plain ints, each
-     with its own mutex, selected by high hash bits. Every probe and
-     insert of a stripe runs under its lock, and the lock holder grows
-     the stripe alone with the sequential reinsert loop (the locked
-     stripe protocol of DESIGN.md §13). The computed cache stays
-     per-domain (Domain.DLS) so the ~90% hit path never touches shared
-     cache lines; [clear_caches] bumps a global generation that
-     orphans every domain's entries at their next operation.
+   - The unique table is striped: 64 open-addressing sub-tables of
+     plain ints, each with its own mutex, selected by high hash bits.
+     Every probe and insert of a stripe runs under its lock, and the
+     lock holder grows the stripe alone with a reinsert loop (the
+     locked-stripe protocol of DESIGN.md §13).
+
+   - The computed cache is per-domain (Domain.DLS), so the ~90% hit
+     path never touches shared cache lines; it starts at 2^12 entries
+     and doubles with misses up to the manager's ceiling.
+     [clear_caches] bumps a per-manager generation that orphans every
+     domain's entries at their next operation.
 
    Cell elaboration ([cover_with]) compiles every cover of at most 5
    variables into a short AND/XOR/ITE program once and replays it per
@@ -71,7 +71,7 @@ let c_unique_rehash = Obs.counter "bdd.unique.rehash_events"
 let c_grow = Obs.counter "bdd.grow_events"
 let c_nodes_max = Obs.counter "bdd.nodes.max"
 
-(* Contention probe for the shared backend. *)
+(* Contention probe: stripe locks found held. *)
 let c_stripe_waits = Obs.counter "bdd.shared.stripe_waits"
 
 (* Integer mix of a (var, low, high) triple: three odd multipliers from
@@ -93,35 +93,16 @@ let[@inline] imin (a : int) b = if a < b then a else b
 let tag_and = 1 lsl 61
 let tag_xor = 2 lsl 61
 
-(* ---------- sequential backend ---------- *)
-
-type seq = {
-  mutable var : int array; (* variable label per node id; nvars for the terminal *)
-  mutable low : int array; (* low edge: a handle, possibly complemented *)
-  mutable high : int array; (* high edge: always a regular handle *)
-  mutable n_nodes : int; (* node ids in use, the terminal included *)
-  (* unique table: open addressing over node ids, capacity = umask + 1
-     (power of two) *)
-  mutable utable : int array;
-  mutable umask : int;
-  (* computed table: direct-mapped, capacity = cmask + 1 *)
-  mutable ck1 : int array;
-  mutable ck2 : int array;
-  mutable cres : int array;
-  mutable cmask : int;
-  mutable cgen : int; (* generation tag, < 2^30 *)
-  cache_fixed : bool; (* explicit ~cache_bits: never resize (tests) *)
-}
-
-(* ---------- shared backend ---------- *)
+(* ---------- manager ---------- *)
 
 (* Node storage: [chunk_nodes] nodes per chunk, stride 3 (var, low,
-   high adjacent). The spine is preallocated for the 2^30 ceiling, so
-   growth never moves a published node. *)
-let chunk_bits = 16
+   high adjacent). The spine starts with [spine_initial] slots. *)
+let chunk_bits = 12
 let chunk_nodes = 1 lsl chunk_bits
 let chunk_mask = chunk_nodes - 1
+let spine_initial = 16
 let nstripes = 64
+let stripe_initial = 64
 
 (* One unique-table stripe: open addressing over node ids, capacity a
    power of two. Both mutable fields are read and written only under
@@ -133,419 +114,111 @@ type stripe = {
   mutable st_count : int; (* interned nodes *)
 }
 
-type shr = {
+type man = {
+  nvars : int;
   uid : int; (* distinguishes managers in the per-domain cache *)
-  chunks : int array array; (* spine; plain writes published via [limit] *)
+  spine : int array array Atomic.t;
+      (* chunk [k] holds nodes [k * chunk_nodes ..]; replaced (never
+         mutated below [limit]) when it doubles *)
   alloc_lock : Mutex.t;
   limit : int Atomic.t; (* allocated node capacity (release store) *)
   next : int Atomic.t; (* next node id to claim *)
   stripes : stripe array;
-  sgen : int Atomic.t; (* shared computed-cache generation *)
-  s_cache_bits : int;
-}
-
-type backend = Seq of seq | Shr of shr
-
-type man = {
-  nvars : int;
-  tab : backend;
+  gen : int Atomic.t; (* computed-cache generation *)
+  cache_bits : int; (* per-domain computed-cache ceiling *)
   mutable budget : Budget.t;
       (* resource governance; Budget.unlimited (the default) keeps the
-         hot paths to a single physical-equality test. In shared mode
-         the budget is installed before workers spawn and read-only
-         afterwards. *)
+         hot paths to a single physical-equality test. Installed before
+         workers spawn and read-only afterwards. *)
 }
 
-let cache_make bits =
-  let cap = 1 lsl bits in
-  (Array.make cap (-1), Array.make cap 0, Array.make cap 0, cap - 1)
-
-let default_cache_bits = 14
-let default_shared_cache_bits = 16
+let default_cache_bits = 16
 let max_cache_bits = 20
-
-let check_cache_bits = function
-  | Some b when b < 1 || b > max_cache_bits -> invalid_arg "Bdd.create: cache_bits"
-  | _ -> ()
+let uids = Atomic.make 1
 
 let create ?cache_bits ~nvars () =
   if nvars < 0 then invalid_arg "Bdd.create: negative nvars";
-  check_cache_bits cache_bits;
-  let cbits, cache_fixed =
-    match cache_bits with None -> (default_cache_bits, false) | Some b -> (b, true)
+  let cache_bits =
+    match cache_bits with
+    | None -> default_cache_bits
+    | Some b when b < 1 || b > max_cache_bits -> invalid_arg "Bdd.create: cache_bits"
+    | Some b -> b
   in
-  let cap = 1024 in
-  let var = Array.make cap 0 and low = Array.make cap 0 and high = Array.make cap 0 in
+  let c0 = Array.make (chunk_nodes * 3) 0 in
   (* The terminal: var = nvars, both edges to itself, so the cofactors
      of a constant are that constant. *)
-  var.(0) <- nvars;
-  let ck1, ck2, cres, cmask = cache_make cbits in
-  {
-    nvars;
-    tab =
-      Seq
-        {
-          var;
-          low;
-          high;
-          n_nodes = 1;
-          utable = Array.make 4096 0;
-          umask = 4095;
-          ck1;
-          ck2;
-          cres;
-          cmask;
-          cgen = 0;
-          cache_fixed;
-        };
-    budget = Budget.unlimited;
-  }
-
-let shared_uid = Atomic.make 1
-
-let create_shared ?cache_bits ~nvars () =
-  if nvars < 0 then invalid_arg "Bdd.create_shared: negative nvars";
-  check_cache_bits cache_bits;
-  let cbits = Option.value cache_bits ~default:default_shared_cache_bits in
-  let chunks = Array.make (max_nodes lsr chunk_bits) [||] in
-  let c0 = Array.make (chunk_nodes * 3) 0 in
-  (* The terminal: var = nvars, both edges to itself. *)
   c0.(0) <- nvars;
-  chunks.(0) <- c0;
+  let spine = Array.make spine_initial [||] in
+  spine.(0) <- c0;
   let stripe () =
-    { st_lock = Mutex.create (); st_slots = Array.make 64 0; st_count = 0 }
+    { st_lock = Mutex.create (); st_slots = Array.make stripe_initial 0; st_count = 0 }
   in
   {
     nvars;
-    tab =
-      Shr
-        {
-          uid = Atomic.fetch_and_add shared_uid 1;
-          chunks;
-          alloc_lock = Mutex.create ();
-          limit = Atomic.make chunk_nodes;
-          next = Atomic.make 1;
-          stripes = Array.init nstripes (fun _ -> stripe ());
-          sgen = Atomic.make 0;
-          s_cache_bits = cbits;
-        };
+    uid = Atomic.fetch_and_add uids 1;
+    spine = Atomic.make spine;
+    alloc_lock = Mutex.create ();
+    limit = Atomic.make chunk_nodes;
+    next = Atomic.make 1;
+    stripes = Array.init nstripes (fun _ -> stripe ());
+    gen = Atomic.make 0;
+    cache_bits;
     budget = Budget.unlimited;
   }
-
-let is_shared man = match man.tab with Seq _ -> false | Shr _ -> true
 
 let set_budget man b = man.budget <- b
 let budget man = man.budget
 
 let nvars man = man.nvars
 
-(* Shared-backend field access by node id. A node id only ever reaches
-   a domain through a stripe lock, another mutex (the SPCF team memo)
-   or Domain.spawn/join, each of which makes the plain chunk writes
-   behind it visible — see DESIGN.md §13. *)
-let[@inline] sh_var h n =
-  Array.unsafe_get (Array.unsafe_get h.chunks (n lsr chunk_bits)) ((n land chunk_mask) * 3)
+(* Field access by node id through a spine read after the id was
+   learnt. A node id only ever reaches a domain through a stripe lock,
+   another mutex (the SPCF team memo) or Domain.spawn/join, each of
+   which makes the chunk and spine writes behind it visible — see
+   DESIGN.md §13. *)
+let[@inline] node_var sp n =
+  Array.unsafe_get (Array.unsafe_get sp (n lsr chunk_bits)) ((n land chunk_mask) * 3)
 
-let[@inline] sh_low h n =
-  Array.unsafe_get
-    (Array.unsafe_get h.chunks (n lsr chunk_bits))
-    (((n land chunk_mask) * 3) + 1)
+let[@inline] node_low sp n =
+  Array.unsafe_get (Array.unsafe_get sp (n lsr chunk_bits)) (((n land chunk_mask) * 3) + 1)
 
-let[@inline] sh_high h n =
-  Array.unsafe_get
-    (Array.unsafe_get h.chunks (n lsr chunk_bits))
-    (((n land chunk_mask) * 3) + 2)
+let[@inline] node_high sp n =
+  Array.unsafe_get (Array.unsafe_get sp (n lsr chunk_bits)) (((n land chunk_mask) * 3) + 2)
 
-let num_nodes man =
-  match man.tab with Seq s -> s.n_nodes | Shr h -> Atomic.get h.next
+let num_nodes man = Atomic.get man.next
 
 let unique_capacity man =
-  match man.tab with
-  | Seq s -> s.umask + 1
-  | Shr h ->
-    Array.fold_left (fun acc st -> acc + Array.length st.st_slots) 0 h.stripes
-
-let cache_capacity man =
-  match man.tab with Seq s -> s.cmask + 1 | Shr h -> 1 lsl h.s_cache_bits
+  Array.fold_left (fun acc st -> acc + Array.length st.st_slots) 0 man.stripes
 
 (* Invalidate every computed-table entry in O(1): entries carry the
-   generation in their second key word, so bumping the tag orphans them.
-   The generation wraps at 2^30 to keep the packing in range — after
-   2^30 clears an ancient entry could in principle alias, which is
-   indistinguishable from an ordinary cache collision given the entry
-   would also need matching keys. In shared mode the bump invalidates
-   every domain's cache at its next operation. *)
-let clear_caches man =
-  match man.tab with
-  | Seq s -> s.cgen <- (s.cgen + 1) land (max_nodes - 1)
-  | Shr h -> Atomic.set h.sgen ((Atomic.get h.sgen + 1) land (max_nodes - 1))
+   generation in their second key word, so bumping the tag orphans them
+   in every domain's cache at its next operation. The generation wraps
+   at 2^30 to keep the packing in range — after 2^30 clears an ancient
+   entry could in principle alias, which is indistinguishable from an
+   ordinary cache collision given the entry would also need matching
+   keys. *)
+let clear_caches man = Atomic.set man.gen ((Atomic.get man.gen + 1) land (max_nodes - 1))
 
 (* Cofactor accessors for the cold (traversal) paths: the variable of
    the handle's node, and its low/high cofactors with the handle's
-   complement flag propagated. The hot apply paths below are
-   specialized per backend instead. *)
-let[@inline] ivar man f =
-  match man.tab with
-  | Seq s -> Array.unsafe_get s.var (f lsr 1)
-  | Shr h -> sh_var h (f lsr 1)
-
-let[@inline] ilow man f =
-  (match man.tab with
-  | Seq s -> Array.unsafe_get s.low (f lsr 1)
-  | Shr h -> sh_low h (f lsr 1))
-  lxor (f land 1)
-
-let[@inline] ihigh man f =
-  (match man.tab with
-  | Seq s -> Array.unsafe_get s.high (f lsr 1)
-  | Shr h -> sh_high h (f lsr 1))
-  lxor (f land 1)
+   complement flag propagated. *)
+let[@inline] ivar man f = node_var (Atomic.get man.spine) (f lsr 1)
+let[@inline] ilow man f = node_low (Atomic.get man.spine) (f lsr 1) lxor (f land 1)
+let[@inline] ihigh man f = node_high (Atomic.get man.spine) (f lsr 1) lxor (f land 1)
 
 let is_terminal f = f < 2
 let var_of man f = ivar man f
 let low_of man f = ilow man f
 let high_of man f = ihigh man f
 
-(* ---------- sequential mk / apply (the uncontended fast path) ---------- *)
+(* ---------- mk: locked stripes ---------- *)
 
-let grow_nodes s =
-  Obs.incr c_grow;
-  Obs.instant "bdd.grow";
-  let cap = Array.length s.var in
-  if cap >= max_nodes then failwith "Bdd: node limit (2^30) exceeded";
-  let cap' = cap * 2 in
-  let extend a =
-    let a' = Array.make cap' 0 in
-    Array.blit a 0 a' 0 cap;
-    a'
-  in
-  s.var <- extend s.var;
-  s.low <- extend s.low;
-  s.high <- extend s.high
-
-(* Double the unique table and reinsert every interned node. Insertion
-   scans for the first empty slot — no deletions ever happen, so there
-   are no tombstones and every probe chain is a contiguous run. *)
-let unique_rehash s =
-  Obs.incr c_unique_rehash;
-  Obs.instant "bdd.unique.rehash";
-  let mask' = ((s.umask + 1) * 2) - 1 in
-  let t' = Array.make (mask' + 1) 0 in
-  for n = 1 to s.n_nodes - 1 do
-    let i = ref (mix3 s.var.(n) s.low.(n) s.high.(n) land mask') in
-    while Array.unsafe_get t' !i <> 0 do
-      i := (!i + 1) land mask'
-    done;
-    Array.unsafe_set t' !i n
-  done;
-  s.utable <- t';
-  s.umask <- mask';
-  (* Let the lossy computed table track the unique table up to a
-     ceiling: dropping the resident entries is sound (it is a cache) and
-     growth events are logarithmically rare, so there are no rehash
-     storms. *)
-  if (not s.cache_fixed) && s.cmask + 1 < 1 lsl max_cache_bits && s.cmask < mask'
-  then begin
-    let bits =
-      let rec bits_of n acc = if n <= 1 then acc else bits_of (n lsr 1) (acc + 1) in
-      min max_cache_bits (bits_of (mask' + 1) 0)
-    in
-    let ck1, ck2, cres, cmask = cache_make bits in
-    s.ck1 <- ck1;
-    s.ck2 <- ck2;
-    s.cres <- cres;
-    s.cmask <- cmask
-  end
-
-(* Hash-consing find-or-insert of a normalised triple (high regular);
-   returns the node id. One probe sequence serves both the lookup and
-   the insertion point: the first empty slot terminates an unsuccessful
-   probe and is exactly where the new node id goes. *)
-let intern_seq man s v lo hi =
-  let table = s.utable and mask = s.umask in
-  let var = s.var and low = s.low and high = s.high in
-  let i = ref (mix3 v lo hi land mask) in
-  let found = ref 0 in
-  let scanning = ref true in
-  while !scanning do
-    let n = Array.unsafe_get table !i in
-    if n = 0 then scanning := false
-    else if
-      Array.unsafe_get var n = v
-      && Array.unsafe_get low n = lo
-      && Array.unsafe_get high n = hi
-    then begin
-      found := n;
-      scanning := false
-    end
-    else i := (!i + 1) land mask
-  done;
-  if !found > 0 then begin
-    Obs.incr c_unique_hits;
-    !found
-  end
-  else begin
-    Obs.incr c_unique_inserts;
-    if s.n_nodes >= Array.length s.var then grow_nodes s;
-    let n = s.n_nodes in
-    s.var.(n) <- v;
-    s.low.(n) <- lo;
-    s.high.(n) <- hi;
-    s.n_nodes <- n + 1;
-    if man.budget != Budget.unlimited then Budget.check_nodes man.budget (n + 1);
-    Obs.record_max c_nodes_max (n + 1);
-    Array.unsafe_set table !i n;
-    if (s.n_nodes - 1) * 4 > (mask + 1) * 3 then unique_rehash s;
-    n
-  end
-
-(* The handle of (v, lo, hi): a complemented high edge is moved onto
-   the result, (v, lo, ¬hi') = ¬(v, ¬lo, hi'). *)
-let[@inline] mk_seq man s v lo hi =
-  if lo = hi then lo
-  else
-    let c = hi land 1 in
-    (intern_seq man s v (lo lxor c) (hi lxor c) lsl 1) lor c
-
-(* Computed-table probe shared by the three recursions: the cached
-   result, or -1 on a miss. *)
-let[@inline] seq_lookup man s k1 k2 slot =
-  Obs.incr c_ite_calls;
-  if man.budget != Budget.unlimited then Budget.tick man.budget;
-  if Array.unsafe_get s.ck1 slot = k1 && Array.unsafe_get s.ck2 slot = k2 then begin
-    Obs.incr c_ite_hits;
-    Array.unsafe_get s.cres slot
-  end
-  else begin
-    Obs.incr c_ite_misses;
-    -1
-  end
-
-(* The cache may have been resized during the recursion: the slot is
-   recomputed against the current mask before storing. *)
-let[@inline] seq_store s f g k2 k1 r =
-  let slot = mix3 f g k2 land s.cmask in
-  Array.unsafe_set s.ck1 slot k1;
-  Array.unsafe_set s.ck2 slot k2;
-  Array.unsafe_set s.cres slot r
-
-(* f ∧ g. Operands are ordered (f < g) before the cache probe, so both
-   argument orders share one entry. *)
-let rec and_seq man s f g =
-  if f <= 1 then if f = 0 then bfalse else g
-  else if g <= 1 then if g = 0 then bfalse else f
-  else if f = g then f
-  else if f lxor g = 1 then bfalse
-  else if f < g then and_step_seq man s f g
-  else and_step_seq man s g f
-
-and and_step_seq man s f g =
-  let k1 = (f lsl 31) lor g and k2 = tag_and lor (s.cgen lsl 31) in
-  let r = seq_lookup man s k1 k2 (mix3 f g k2 land s.cmask) in
-  if r >= 0 then r
-  else begin
-    let nf = f lsr 1 and ng = g lsr 1 and cf = f land 1 and cg = g land 1 in
-    let vf = Array.unsafe_get s.var nf and vg = Array.unsafe_get s.var ng in
-    let v = imin vf vg in
-    let f0 = if vf = v then Array.unsafe_get s.low nf lxor cf else f in
-    let f1 = if vf = v then Array.unsafe_get s.high nf lxor cf else f in
-    let g0 = if vg = v then Array.unsafe_get s.low ng lxor cg else g in
-    let g1 = if vg = v then Array.unsafe_get s.high ng lxor cg else g in
-    let r1 = and_seq man s f1 g1 in
-    let r0 = and_seq man s f0 g0 in
-    let r = mk_seq man s v r0 r1 in
-    seq_store s f g k2 k1 r;
-    r
-  end
-
-(* f ⊕ g = reg(f) ⊕ reg(g) ⊕ parity: the recursion and its cache see
-   regular operands only. *)
-let rec xor_seq man s f g =
-  let p = (f lxor g) land 1 in
-  let f = f land lnot 1 and g = g land lnot 1 in
-  if f = 0 then g lor p
-  else if g = 0 then f lor p
-  else if f = g then p
-  else if f < g then xor_step_seq man s f g lxor p
-  else xor_step_seq man s g f lxor p
-
-and xor_step_seq man s f g =
-  let k1 = (f lsl 31) lor g and k2 = tag_xor lor (s.cgen lsl 31) in
-  let r = seq_lookup man s k1 k2 (mix3 f g k2 land s.cmask) in
-  if r >= 0 then r
-  else begin
-    let nf = f lsr 1 and ng = g lsr 1 in
-    let vf = Array.unsafe_get s.var nf and vg = Array.unsafe_get s.var ng in
-    let v = imin vf vg in
-    let f0 = if vf = v then Array.unsafe_get s.low nf else f in
-    let f1 = if vf = v then Array.unsafe_get s.high nf else f in
-    let g0 = if vg = v then Array.unsafe_get s.low ng else g in
-    let g1 = if vg = v then Array.unsafe_get s.high ng else g in
-    let r1 = xor_seq man s f1 g1 in
-    let r0 = xor_seq man s f0 g0 in
-    let r = mk_seq man s v r0 r1 in
-    seq_store s f g k2 k1 r;
-    r
-  end
-
-(* ite(f, g, h) reduced to a standard triple: g and h are simplified
-   against f (g = f → 1, h = ¬f → 1, ...), the two-operand forms go to
-   the AND/XOR recursions, and the general case is made f-regular
-   (swapping g and h) and g-regular (complementing g, h and the
-   result). *)
-let rec ite_seq man s f g h =
-  if f <= 1 then if f = 1 then g else h
-  else begin
-    let g = if g lxor f <= 1 then g lxor f lxor 1 else g in
-    let h = if h lxor f <= 1 then h lxor f else h in
-    if g = h then g
-    else if g <= 1 then
-      if g = 1 then and_seq man s (f lxor 1) (h lxor 1) lxor 1
-      else and_seq man s (f lxor 1) h
-    else if h <= 1 then
-      if h = 0 then and_seq man s f g else and_seq man s f (g lxor 1) lxor 1
-    else if g lxor h = 1 then xor_seq man s f h
-    else if f land 1 = 1 then
-      let c = h land 1 in
-      ite_step_seq man s (f lxor 1) (h lxor c) (g lxor c) lxor c
-    else
-      let c = g land 1 in
-      ite_step_seq man s f (g lxor c) (h lxor c) lxor c
-  end
-
-(* f, g regular; f, g, h non-constant. *)
-and ite_step_seq man s f g h =
-  let k1 = (f lsl 31) lor g and k2 = (s.cgen lsl 31) lor h in
-  let r = seq_lookup man s k1 k2 (mix3 f g k2 land s.cmask) in
-  if r >= 0 then r
-  else begin
-    let nf = f lsr 1 and ng = g lsr 1 and nh = h lsr 1 and ch = h land 1 in
-    let vf = Array.unsafe_get s.var nf
-    and vg = Array.unsafe_get s.var ng
-    and vh = Array.unsafe_get s.var nh in
-    let v = imin vf (imin vg vh) in
-    let f0 = if vf = v then Array.unsafe_get s.low nf else f in
-    let f1 = if vf = v then Array.unsafe_get s.high nf else f in
-    let g0 = if vg = v then Array.unsafe_get s.low ng else g in
-    let g1 = if vg = v then Array.unsafe_get s.high ng else g in
-    let h0 = if vh = v then Array.unsafe_get s.low nh lxor ch else h in
-    let h1 = if vh = v then Array.unsafe_get s.high nh lxor ch else h in
-    let r1 = ite_seq man s f1 g1 h1 in
-    let r0 = ite_seq man s f0 g0 h0 in
-    let r = mk_seq man s v r0 r1 in
-    seq_store s f g k2 k1 r;
-    r
-  end
-
-(* ---------- shared mk: locked stripes ---------- *)
-
-(* Double one stripe and reinsert its nodes: the reinsert loop of
-   [unique_rehash], run over the stripe's own slots. The caller holds
-   the stripe lock, which is also the only way any domain reads the
-   slots, so no reader can see the old table after the swap or a
-   half-filled new one. The new table is a plain [int array]: building
-   it allocates no young block, so it never forces a minor collection. *)
-let sh_grow_stripe h st =
+(* Double one stripe and reinsert its nodes. The caller holds the
+   stripe lock, which is also the only way any domain reads the slots,
+   so no reader can see the old table after the swap or a half-filled
+   new one. The new table is a plain [int array]: building it allocates
+   no young block, so it never forces a minor collection. *)
+let grow_stripe sp st =
   Obs.incr c_unique_rehash;
   Obs.instant "bdd.unique.rehash";
   let src = st.st_slots in
@@ -554,7 +227,7 @@ let sh_grow_stripe h st =
   for k = 0 to Array.length src - 1 do
     let n = Array.unsafe_get src k in
     if n <> 0 then begin
-      let j = ref (mix3 (sh_var h n) (sh_low h n) (sh_high h n) land mask') in
+      let j = ref (mix3 (node_var sp n) (node_low sp n) (node_high sp n) land mask') in
       while Array.unsafe_get dst !j <> 0 do
         j := (!j + 1) land mask'
       done;
@@ -564,38 +237,56 @@ let sh_grow_stripe h st =
   st.st_slots <- dst
 
 (* Take the stripe lock, counting the times it was found held. *)
-let[@inline] sh_lock_stripe st =
+let[@inline] lock_stripe st =
   if not (Mutex.try_lock st.st_lock) then begin
     Obs.incr c_stripe_waits;
     Mutex.lock st.st_lock
   end
 
-(* Make node id [id] addressable: allocate chunks up to it. Only the
-   claiming inserter calls this, under the allocation lock; the
-   release store to [limit] publishes the fresh chunk. *)
-let sh_ensure h id =
-  if id >= Atomic.get h.limit then begin
-    Mutex.lock h.alloc_lock;
-    while id >= Atomic.get h.limit do
-      let lim = Atomic.get h.limit in
+(* Make node id [id] addressable and return its chunk: allocate chunks
+   up to it, doubling the spine when it is full. Only the claiming
+   inserter calls this; growth runs under the allocation lock, a new
+   spine is complete before it is published, and the release store to
+   [limit] publishes the fresh chunk. *)
+let ensure man id =
+  if id >= Atomic.get man.limit then begin
+    Mutex.lock man.alloc_lock;
+    while id >= Atomic.get man.limit do
+      let lim = Atomic.get man.limit in
+      let k = lim lsr chunk_bits in
       Obs.incr c_grow;
       Obs.instant "bdd.grow";
-      h.chunks.(lim lsr chunk_bits) <- Array.make (chunk_nodes * 3) 0;
-      Atomic.set h.limit (lim + chunk_nodes)
+      let sp = Atomic.get man.spine in
+      let sp' =
+        if k < Array.length sp then sp
+        else begin
+          let sp' = Array.make (2 * Array.length sp) [||] in
+          Array.blit sp 0 sp' 0 (Array.length sp);
+          sp'
+        end
+      in
+      sp'.(k) <- Array.make (chunk_nodes * 3) 0;
+      if sp' != sp then Atomic.set man.spine sp';
+      Atomic.set man.limit (lim + chunk_nodes)
     done;
-    Mutex.unlock h.alloc_lock
-  end
+    Mutex.unlock man.alloc_lock
+  end;
+  Array.unsafe_get (Atomic.get man.spine) (id lsr chunk_bits)
 
-let[@inline] sh_stripe_of h hash =
-  Array.unsafe_get h.stripes ((hash lsr 45) land (nstripes - 1))
+let[@inline] stripe_of man hash =
+  Array.unsafe_get man.stripes ((hash lsr 45) land (nstripes - 1))
 
-(* [intern_seq] on one stripe; the caller holds its lock. *)
-let sh_intern_locked man h st hash v lo hi =
+(* Find-or-insert on one stripe; the caller holds its lock. One probe
+   sequence serves both the lookup and the insertion point: the first
+   empty slot ends an unsuccessful probe and is where the new id goes.
+   No deletions ever happen, so there are no tombstones. *)
+let intern_locked man st hash v lo hi =
+  let sp = Atomic.get man.spine in
   let tab = st.st_slots in
   let mask = Array.length tab - 1 in
   let i = ref (hash land mask) in
   let n = ref (Array.unsafe_get tab !i) in
-  while !n <> 0 && not (sh_var h !n = v && sh_low h !n = lo && sh_high h !n = hi) do
+  while !n <> 0 && not (node_var sp !n = v && node_low sp !n = lo && node_high sp !n = hi) do
     i := (!i + 1) land mask;
     n := Array.unsafe_get tab !i
   done;
@@ -604,11 +295,10 @@ let sh_intern_locked man h st hash v lo hi =
     !n
   end
   else begin
-    let id = Atomic.fetch_and_add h.next 1 in
+    let id = Atomic.fetch_and_add man.next 1 in
     if id >= max_nodes then failwith "Bdd: node limit (2^30) exceeded";
+    let chunk = ensure man id in
     if man.budget != Budget.unlimited then Budget.check_nodes man.budget (id + 1);
-    sh_ensure h id;
-    let chunk = Array.unsafe_get h.chunks (id lsr chunk_bits) in
     let base = (id land chunk_mask) * 3 in
     Array.unsafe_set chunk base v;
     Array.unsafe_set chunk (base + 1) lo;
@@ -617,17 +307,17 @@ let sh_intern_locked man h st hash v lo hi =
     Obs.record_max c_nodes_max (id + 1);
     Array.unsafe_set tab !i id;
     st.st_count <- st.st_count + 1;
-    if st.st_count * 4 > (mask + 1) * 3 then sh_grow_stripe h st;
+    if st.st_count * 4 > (mask + 1) * 3 then grow_stripe (Atomic.get man.spine) st;
     id
   end
 
 (* Find-or-insert of a normalised triple (high regular); returns the
    node id. *)
-let intern_shr man h v lo hi =
+let intern man v lo hi =
   let hash = mix3 v lo hi in
-  let st = sh_stripe_of h hash in
-  sh_lock_stripe st;
-  match sh_intern_locked man h st hash v lo hi with
+  let st = stripe_of man hash in
+  lock_stripe st;
+  match intern_locked man st hash v lo hi with
   | id ->
     Mutex.unlock st.st_lock;
     id
@@ -637,29 +327,29 @@ let intern_shr man h v lo hi =
     Mutex.unlock st.st_lock;
     raise e
 
-(* The same normalisation as [mk_seq]: the complement of a high edge
-   moves onto the result, so both backends intern identical triples. *)
-let[@inline] mk_shr man h v lo hi =
+(* The handle of (v, lo, hi): a complemented high edge is moved onto
+   the result, (v, lo, ¬hi') = ¬(v, ¬lo, hi'). *)
+let[@inline] mk man v lo hi =
   if lo = hi then lo
   else
     let c = hi land 1 in
-    (intern_shr man h v (lo lxor c) (hi lxor c) lsl 1) lor c
+    (intern man v (lo lxor c) (hi lxor c) lsl 1) lor c
 
-(* ---------- per-domain computed cache (shared backend) ---------- *)
+(* ---------- per-domain computed cache ---------- *)
 
-(* One direct-mapped cache per domain, reused across shared managers:
+(* One direct-mapped cache per domain, reused across managers:
    acquiring it for a different manager (or an incompatible size)
-   clears or reallocates it. Keys pack exactly as in the sequential
-   cache; -1 in ck1 never matches a real key (k1 >= 0).
+   clears or reallocates it. -1 in ck1 never matches a real key
+   (k1 >= 0).
 
-   The cache starts small and doubles toward the configured
-   2^s_cache_bits as the domain accumulates misses: worker domains are
+   The cache starts small and doubles toward the manager's
+   2^cache_bits as the domain accumulates misses: worker domains are
    freshly spawned per parallel run, so a full-size up-front
    allocation (megabytes, zeroed) would be a fixed per-domain tax paid
    before any useful work — measurable milliseconds per worker —
    while short-lived workers never profit from the full size. *)
 type dcache = {
-  mutable d_owner : int; (* shr uid; 0 = unowned *)
+  mutable d_owner : int; (* manager uid; 0 = unowned *)
   mutable d_ck1 : int array;
   mutable d_ck2 : int array;
   mutable d_cres : int array;
@@ -687,12 +377,12 @@ let dcache_alloc c cap =
   c.d_cmask <- cap - 1;
   c.d_misses <- 0
 
-let get_dcache h =
+let get_dcache man =
   let c = Domain.DLS.get dcache_key in
-  let cap_limit = 1 lsl h.s_cache_bits in
-  if c.d_owner <> h.uid then begin
+  let cap_limit = 1 lsl man.cache_bits in
+  if c.d_owner <> man.uid then begin
     let have = c.d_cmask + 1 in
-    let floor_cap = 1 lsl (min h.s_cache_bits dcache_initial_bits) in
+    let floor_cap = 1 lsl imin man.cache_bits dcache_initial_bits in
     (* An existing array of acceptable size is kept (cleared), so a
        domain alternating between managers does not thrash the
        allocator. *)
@@ -701,22 +391,29 @@ let get_dcache h =
       c.d_misses <- 0
     end
     else dcache_alloc c floor_cap;
-    c.d_owner <- h.uid
+    c.d_owner <- man.uid
   end
   else if c.d_misses > (c.d_cmask + 1) * 2 && c.d_cmask + 1 < cap_limit then
-    (* Grow between top-level calls only: the shared recursions compute
-       each slot against the mask they read, so the cache must not
-       resize while a recursion is in flight. Entries are dropped, not
+    (* Grow between top-level calls only: the recursions compute each
+       slot against the mask they read, so the cache must not resize
+       while a recursion is in flight. Entries are dropped, not
        rehashed — it is a cache. *)
     dcache_alloc c ((c.d_cmask + 1) * 2);
   c
 
-(* ---------- shared apply: the sequential recursions over the chunked
-   store and the per-domain cache ---------- *)
+(* The calling domain's computed-cache size for [man]: its current
+   cache when that serves [man], else the size it would start at. *)
+let cache_capacity man =
+  let c = Domain.DLS.get dcache_key in
+  if c.d_owner = man.uid then c.d_cmask + 1
+  else 1 lsl imin man.cache_bits dcache_initial_bits
 
-(* The per-domain cache never resizes mid-call, so the probe-time slot
-   is still valid at store time. Returns -1 on a miss. *)
-let[@inline] shr_lookup man c k1 k2 slot =
+(* ---------- apply ---------- *)
+
+(* Computed-table probe shared by the three recursions: the cached
+   result, or -1 on a miss. The per-domain cache never resizes
+   mid-call, so the probe-time slot is still valid at store time. *)
+let[@inline] lookup man c k1 k2 slot =
   Obs.incr c_ite_calls;
   if man.budget != Budget.unlimited then Budget.tick man.budget;
   if Array.unsafe_get c.d_ck1 slot = k1 && Array.unsafe_get c.d_ck2 slot = k2 then begin
@@ -729,130 +426,128 @@ let[@inline] shr_lookup man c k1 k2 slot =
     -1
   end
 
-let[@inline] shr_store c slot k1 k2 r =
+let[@inline] store c slot k1 k2 r =
   Array.unsafe_set c.d_ck1 slot k1;
   Array.unsafe_set c.d_ck2 slot k2;
   Array.unsafe_set c.d_cres slot r
 
-let rec and_shr man h c gen f g =
+(* f ∧ g. Operands are ordered (f < g) before the cache probe, so both
+   argument orders share one entry. *)
+let rec and_rec man c gen f g =
   if f <= 1 then if f = 0 then bfalse else g
   else if g <= 1 then if g = 0 then bfalse else f
   else if f = g then f
   else if f lxor g = 1 then bfalse
-  else if f < g then and_step_shr man h c gen f g
-  else and_step_shr man h c gen g f
+  else if f < g then and_step man c gen f g
+  else and_step man c gen g f
 
-and and_step_shr man h c gen f g =
+and and_step man c gen f g =
   let k1 = (f lsl 31) lor g and k2 = tag_and lor (gen lsl 31) in
   let slot = mix3 f g k2 land c.d_cmask in
-  let r = shr_lookup man c k1 k2 slot in
+  let r = lookup man c k1 k2 slot in
   if r >= 0 then r
   else begin
+    let sp = Atomic.get man.spine in
     let nf = f lsr 1 and ng = g lsr 1 and cf = f land 1 and cg = g land 1 in
-    let vf = sh_var h nf and vg = sh_var h ng in
+    let vf = node_var sp nf and vg = node_var sp ng in
     let v = imin vf vg in
-    let f0 = if vf = v then sh_low h nf lxor cf else f in
-    let f1 = if vf = v then sh_high h nf lxor cf else f in
-    let g0 = if vg = v then sh_low h ng lxor cg else g in
-    let g1 = if vg = v then sh_high h ng lxor cg else g in
-    let r1 = and_shr man h c gen f1 g1 in
-    let r0 = and_shr man h c gen f0 g0 in
-    let r = mk_shr man h v r0 r1 in
-    shr_store c slot k1 k2 r;
+    let f0 = if vf = v then node_low sp nf lxor cf else f in
+    let f1 = if vf = v then node_high sp nf lxor cf else f in
+    let g0 = if vg = v then node_low sp ng lxor cg else g in
+    let g1 = if vg = v then node_high sp ng lxor cg else g in
+    let r1 = and_rec man c gen f1 g1 in
+    let r0 = and_rec man c gen f0 g0 in
+    let r = mk man v r0 r1 in
+    store c slot k1 k2 r;
     r
   end
 
-let rec xor_shr man h c gen f g =
+(* f ⊕ g = reg(f) ⊕ reg(g) ⊕ parity: the recursion and its cache see
+   regular operands only. *)
+let rec xor_rec man c gen f g =
   let p = (f lxor g) land 1 in
   let f = f land lnot 1 and g = g land lnot 1 in
   if f = 0 then g lor p
   else if g = 0 then f lor p
   else if f = g then p
-  else if f < g then xor_step_shr man h c gen f g lxor p
-  else xor_step_shr man h c gen g f lxor p
+  else if f < g then xor_step man c gen f g lxor p
+  else xor_step man c gen g f lxor p
 
-and xor_step_shr man h c gen f g =
+and xor_step man c gen f g =
   let k1 = (f lsl 31) lor g and k2 = tag_xor lor (gen lsl 31) in
   let slot = mix3 f g k2 land c.d_cmask in
-  let r = shr_lookup man c k1 k2 slot in
+  let r = lookup man c k1 k2 slot in
   if r >= 0 then r
   else begin
+    let sp = Atomic.get man.spine in
     let nf = f lsr 1 and ng = g lsr 1 in
-    let vf = sh_var h nf and vg = sh_var h ng in
+    let vf = node_var sp nf and vg = node_var sp ng in
     let v = imin vf vg in
-    let f0 = if vf = v then sh_low h nf else f in
-    let f1 = if vf = v then sh_high h nf else f in
-    let g0 = if vg = v then sh_low h ng else g in
-    let g1 = if vg = v then sh_high h ng else g in
-    let r1 = xor_shr man h c gen f1 g1 in
-    let r0 = xor_shr man h c gen f0 g0 in
-    let r = mk_shr man h v r0 r1 in
-    shr_store c slot k1 k2 r;
+    let f0 = if vf = v then node_low sp nf else f in
+    let f1 = if vf = v then node_high sp nf else f in
+    let g0 = if vg = v then node_low sp ng else g in
+    let g1 = if vg = v then node_high sp ng else g in
+    let r1 = xor_rec man c gen f1 g1 in
+    let r0 = xor_rec man c gen f0 g0 in
+    let r = mk man v r0 r1 in
+    store c slot k1 k2 r;
     r
   end
 
-let rec ite_shr man h c gen f g hh =
-  if f <= 1 then if f = 1 then g else hh
+(* ite(f, g, h) reduced to a standard triple: g and h are simplified
+   against f (g = f → 1, h = ¬f → 1, ...), the two-operand forms go to
+   the AND/XOR recursions, and the general case is made f-regular
+   (swapping g and h) and g-regular (complementing g, h and the
+   result). *)
+let rec ite_rec man c gen f g h =
+  if f <= 1 then if f = 1 then g else h
   else begin
     let g = if g lxor f <= 1 then g lxor f lxor 1 else g in
-    let hh = if hh lxor f <= 1 then hh lxor f else hh in
-    if g = hh then g
+    let h = if h lxor f <= 1 then h lxor f else h in
+    if g = h then g
     else if g <= 1 then
-      if g = 1 then and_shr man h c gen (f lxor 1) (hh lxor 1) lxor 1
-      else and_shr man h c gen (f lxor 1) hh
-    else if hh <= 1 then
-      if hh = 0 then and_shr man h c gen f g
-      else and_shr man h c gen f (g lxor 1) lxor 1
-    else if g lxor hh = 1 then xor_shr man h c gen f hh
+      if g = 1 then and_rec man c gen (f lxor 1) (h lxor 1) lxor 1
+      else and_rec man c gen (f lxor 1) h
+    else if h <= 1 then
+      if h = 0 then and_rec man c gen f g else and_rec man c gen f (g lxor 1) lxor 1
+    else if g lxor h = 1 then xor_rec man c gen f h
     else if f land 1 = 1 then
-      let p = hh land 1 in
-      ite_step_shr man h c gen (f lxor 1) (hh lxor p) (g lxor p) lxor p
+      let p = h land 1 in
+      ite_step man c gen (f lxor 1) (h lxor p) (g lxor p) lxor p
     else
       let p = g land 1 in
-      ite_step_shr man h c gen f (g lxor p) (hh lxor p) lxor p
+      ite_step man c gen f (g lxor p) (h lxor p) lxor p
   end
 
-and ite_step_shr man h c gen f g hh =
-  let k1 = (f lsl 31) lor g and k2 = (gen lsl 31) lor hh in
+(* f, g regular; f, g, h non-constant. *)
+and ite_step man c gen f g h =
+  let k1 = (f lsl 31) lor g and k2 = (gen lsl 31) lor h in
   let slot = mix3 f g k2 land c.d_cmask in
-  let r = shr_lookup man c k1 k2 slot in
+  let r = lookup man c k1 k2 slot in
   if r >= 0 then r
   else begin
-    let nf = f lsr 1 and ng = g lsr 1 and nh = hh lsr 1 and ch = hh land 1 in
-    let vf = sh_var h nf and vg = sh_var h ng and vh = sh_var h nh in
+    let sp = Atomic.get man.spine in
+    let nf = f lsr 1 and ng = g lsr 1 and nh = h lsr 1 and ch = h land 1 in
+    let vf = node_var sp nf and vg = node_var sp ng and vh = node_var sp nh in
     let v = imin vf (imin vg vh) in
-    let f0 = if vf = v then sh_low h nf else f in
-    let f1 = if vf = v then sh_high h nf else f in
-    let g0 = if vg = v then sh_low h ng else g in
-    let g1 = if vg = v then sh_high h ng else g in
-    let h0 = if vh = v then sh_low h nh lxor ch else hh in
-    let h1 = if vh = v then sh_high h nh lxor ch else hh in
-    let r1 = ite_shr man h c gen f1 g1 h1 in
-    let r0 = ite_shr man h c gen f0 g0 h0 in
-    let r = mk_shr man h v r0 r1 in
-    shr_store c slot k1 k2 r;
+    let f0 = if vf = v then node_low sp nf else f in
+    let f1 = if vf = v then node_high sp nf else f in
+    let g0 = if vg = v then node_low sp ng else g in
+    let g1 = if vg = v then node_high sp ng else g in
+    let h0 = if vh = v then node_low sp nh lxor ch else h in
+    let h1 = if vh = v then node_high sp nh lxor ch else h in
+    let r1 = ite_rec man c gen f1 g1 h1 in
+    let r0 = ite_rec man c gen f0 g0 h0 in
+    let r = mk man v r0 r1 in
+    store c slot k1 k2 r;
     r
   end
 
-(* ---------- public mk / apply ---------- *)
+(* ---------- public apply ---------- *)
 
-let mk man v lo hi =
-  match man.tab with Seq s -> mk_seq man s v lo hi | Shr h -> mk_shr man h v lo hi
-
-let ite man f g h =
-  match man.tab with
-  | Seq s -> ite_seq man s f g h
-  | Shr sh -> ite_shr man sh (get_dcache sh) (Atomic.get sh.sgen) f g h
-
-let band man f g =
-  match man.tab with
-  | Seq s -> and_seq man s f g
-  | Shr sh -> and_shr man sh (get_dcache sh) (Atomic.get sh.sgen) f g
-
-let bxor man f g =
-  match man.tab with
-  | Seq s -> xor_seq man s f g
-  | Shr sh -> xor_shr man sh (get_dcache sh) (Atomic.get sh.sgen) f g
+let ite man f g h = ite_rec man (get_dcache man) (Atomic.get man.gen) f g h
+let band man f g = and_rec man (get_dcache man) (Atomic.get man.gen) f g
+let bxor man f g = xor_rec man (get_dcache man) (Atomic.get man.gen) f g
 
 let var man v =
   if v < 0 || v >= man.nvars then invalid_arg "Bdd.var: out of range";
@@ -904,22 +599,16 @@ let eval_vec man f var_words =
 
 (* Every published node, in id order, as its regular handle and its
    stored fields (a possibly complemented low edge, a regular high
-   edge). In shared mode this is meaningful only at quiescence (no
-   concurrent inserts): ids claimed but never published (a budget raise
-   between claim and field writes) read as all-zero triples and are
-   skipped via lo = hi, which no reduced node can exhibit. *)
+   edge). Meaningful only at quiescence (no concurrent inserts): ids
+   claimed but never published (a budget raise between claim and field
+   writes) read as all-zero triples and are skipped via lo = hi, which
+   no reduced node can exhibit. *)
 let iter_nodes man fn =
-  match man.tab with
-  | Seq s ->
-    for n = 1 to s.n_nodes - 1 do
-      fn (n lsl 1) s.var.(n) s.low.(n) s.high.(n)
-    done
-  | Shr h ->
-    let stop = Atomic.get h.next in
-    for n = 1 to stop - 1 do
-      let lo = sh_low h n and hi = sh_high h n in
-      if lo <> hi then fn (n lsl 1) (sh_var h n) lo hi
-    done
+  let sp = Atomic.get man.spine in
+  for n = 1 to imin (Atomic.get man.next) (Atomic.get man.limit) - 1 do
+    let lo = node_low sp n and hi = node_high sp n in
+    if lo <> hi then fn (n lsl 1) (node_var sp n) lo hi
+  done
 
 (* Distinct nodes reachable from [f] (a node and its complement are one
    node), plus the terminal. *)

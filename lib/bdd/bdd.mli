@@ -9,7 +9,6 @@
     complemented handle and [high] always regular (even); a handle with
     bit 0 set denotes the negation of its node's function. The encoding
     is canonical, so [bnot] is [lxor 1]: O(1), and it allocates no node.
-    Both backends ([create] and [create_shared]) use this encoding.
 
     {!var_of}, {!low_of} and {!high_of} return the {e cofactors} of a
     handle (complement flag propagated), so code that walks a BDD only
@@ -23,24 +22,19 @@ val bfalse : t
 val btrue : t
 
 val create : ?cache_bits:int -> nvars:int -> unit -> man
-(** [cache_bits] pins the ite computed-table to [2^cache_bits] entries
-    and disables its growth — useful for stress-testing eviction; the
-    default is an adaptive cache that tracks the unique table. *)
-
-val create_shared : ?cache_bits:int -> nvars:int -> unit -> man
 (** A manager whose unique table several domains may grow concurrently:
     handles are stable once returned, equal triples intern to equal
     handles across domains, and every operation of this interface is
-    safe to call from any domain. The ite computed cache is per-domain
-    ([Domain.DLS]): it starts at 2^12 entries and doubles with use up
-    to [2^cache_bits] (default 2^16), so freshly spawned worker
-    domains pay no up-front megabyte allocation. A handle handed from
-    one domain to another must cross a mutex or
-    [Domain.spawn]/[Domain.join] (a racy store is not enough): that
-    is what makes the node fields behind it visible. Single-domain use
-    is supported but slower than [create]; see DESIGN.md §13. *)
-
-val is_shared : man -> bool
+    safe to call from any domain. Creation is cheap (one 2^12-node
+    chunk; the node store and the 64 unique-table stripes grow on
+    demand). The ite computed cache is per-domain ([Domain.DLS]): it
+    starts at 2^12 entries and doubles with misses up to
+    [2^cache_bits] (default 2^16, at most 2^20), so freshly spawned
+    worker domains pay no up-front megabyte allocation; a small
+    [cache_bits] stress-tests eviction. A handle handed from one domain
+    to another must cross a mutex or [Domain.spawn]/[Domain.join] (a
+    racy store is not enough): that is what makes the node fields
+    behind it visible. See DESIGN.md §13. *)
 
 val nvars : man -> int
 val num_nodes : man -> int
@@ -51,8 +45,9 @@ val unique_capacity : man -> int
 (** Slots in the open-addressing unique table (a power of two). *)
 
 val cache_capacity : man -> int
-(** Entries in the direct-mapped computed table (a power of two); AND,
-    XOR and ITE results share it. *)
+(** Entries in the calling domain's direct-mapped computed table for
+    this manager (a power of two; the starting size if the domain has
+    not yet operated on it); AND, XOR and ITE results share it. *)
 
 val set_budget : man -> Budget.t -> unit
 (** Govern this manager: node allocation checks the node quota and each
@@ -111,8 +106,8 @@ val iter_nodes : man -> (t -> int -> t -> t -> unit) -> unit
 (** [iter_nodes man f] calls [f handle var low high] for every interned
     (non-terminal) node, in node order: [handle] is the node's regular
     (even) handle and [low]/[high] are its stored edges — [high] is
-    always regular, [low] may be complemented. On a shared manager this
-    is meaningful only at quiescence (no concurrent inserts). *)
+    always regular, [low] may be complemented. Meaningful only at
+    quiescence (no concurrent inserts). *)
 
 val size : man -> t -> int
 (** Distinct nodes reachable from the root (a node reached through

@@ -205,7 +205,7 @@ let poll t =
    1024 — cheap enough for the ite hot path, responsive enough that a
    deadline or a cancel is observed within microseconds of real work.
 
-   When several domains share one budget (the shared-manager parallel
+   When several domains share one budget (the parallel SPCF
    path), [ops] is updated with plain read-modify-writes: increments
    lost to races make the op counter approximate (an underestimate),
    which is accepted — op quotas are advisory walls, the counter stays

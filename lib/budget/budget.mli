@@ -54,6 +54,12 @@ type spec = {
 val no_limits : spec
 val is_no_limits : spec -> bool
 
+val read_env : string -> (string -> 'a option) -> string -> 'a option
+(** [read_env name parse describe] reads environment variable [name]:
+    [None] when unset or blank, else [parse] of the trimmed value. A
+    value [parse] rejects raises [Invalid_argument] with a one-line
+    message naming [name], [describe] and the raw value. *)
+
 val of_env : unit -> spec
 (** Read [EMASK_BUDGET_TIMEOUT], [EMASK_BUDGET_MAX_NODES] and
     [EMASK_BUDGET_MAX_OPS]. Unset or empty variables contribute no

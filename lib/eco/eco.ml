@@ -402,7 +402,7 @@ let c_sigmas_recomputed = Obs.counter "eco.sigmas.recomputed"
 let snapshot ?(theta = 0.9) ?(model = Sta.Library) ?band ?(jobs = 1)
     ?(budget = Budget.unlimited) design =
   let circuit, sig_of = lower design in
-  let ctx = Spcf.Ctx.create ~model ~budget ~shared:true circuit in
+  let ctx = Spcf.Ctx.create ~model ~budget circuit in
   let delta = Spcf.Ctx.delta ctx in
   let target = Spcf.Ctx.target_of_theta ctx theta in
   let critical = Sta.critical_outputs ctx.Spcf.Ctx.sta ~target in
@@ -821,7 +821,7 @@ let deserialize text =
   in
   let design = { pi_names; gates; outputs } in
   let circuit, sig_of = lower design in
-  let ctx = Spcf.Ctx.create ~model ~shared:true circuit in
+  let ctx = Spcf.Ctx.create ~model circuit in
   let delta = Spcf.Ctx.delta ctx in
   if not (Float.equal delta delta_stored) then
     failf "Eco.deserialize: stored delta %h disagrees with STA %h" delta_stored delta;

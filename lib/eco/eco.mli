@@ -151,7 +151,7 @@ val snapshot :
   ?budget:Budget.t ->
   design ->
   t
-(** Full analysis from scratch over a shared-manager context
+(** Full analysis from scratch over a fresh context
     ([theta] defaults to [0.9], [model] to [Library], sensitization
     runs only when [band] is given, [jobs] defaults to [1]). Can raise
     [Budget.Budget_exceeded]. *)
@@ -185,7 +185,7 @@ val serialize : t -> string
     its cover. Floats are printed with [%h] (lossless round-trip). *)
 
 val deserialize : string -> t
-(** Rebuilds the context (fresh shared manager), imports the SPCF DAGs,
+(** Rebuilds the context (fresh manager), imports the SPCF DAGs,
     and integrity-checks Δ against a fresh STA pass; sensitization is
     re-derived when a band was recorded (verdicts are a pure function
     of the circuit). Raises [Invalid_argument] on malformed or

@@ -24,17 +24,17 @@ let too_large net = Network.num_nodes net > 80 || Array.length (Network.inputs n
    at jobs=4, node-based ⊇ exact, at a routine and a near-zero-slack
    target. The sequential results live in one BDD manager, so
    "identical function" is handle equality and containment is one
-   band/bnot. The parallel run uses the concurrent shared-manager
-   backend, a different manager, so it is compared by the canonical
-   exported DAG (postorder over the ROBDD), which must be byte-identical
-   to the sequential one. *)
+   band/bnot. The parallel run builds its own context, a different
+   manager, so it is compared by the canonical exported DAG (postorder
+   over the ROBDD), which must be byte-identical to the sequential
+   one. *)
 let spcf_equal ~rng:_ ~budget net =
   if too_large net then Skip "too large for SPCF cross-check"
   else begin
     let mc = Mapper.map net in
     let ctx = Spcf.Ctx.create ~budget mc in
     let man = ctx.Spcf.Ctx.man in
-    let sctx = Spcf.Ctx.create ~budget ~shared:true mc in
+    let pctx = Spcf.Ctx.create ~budget mc in
     let check_theta theta =
       let target = Spcf.Ctx.target_of_theta ctx theta in
       let short = Spcf.Exact.short_path ctx ~target in
@@ -79,25 +79,24 @@ let spcf_equal ~rng:_ ~budget net =
             failf "theta=%.3f: node-based union is not a superset" theta
           | None -> Pass
       in
-      let against_shared () =
+      let against_parallel () =
         let r =
-          Spcf.Parallel.short_path ~jobs:4 sctx
-            ~target:(Spcf.Ctx.target_of_theta sctx theta)
+          Spcf.Parallel.short_path ~jobs:4 pctx
+            ~target:(Spcf.Ctx.target_of_theta pctx theta)
         in
         if names short <> names r then
-          failf "theta=%.3f: critical outputs differ (short=[%s] shared=[%s])" theta
+          failf "theta=%.3f: critical outputs differ (short=[%s] jobs4=[%s])" theta
             (names short) (names r)
         else begin
           let mismatch =
             List.find_opt
               (fun ((_, _, a), (_, _, b)) ->
-                Spcf.Parallel.export man a <> Spcf.Parallel.export sctx.Spcf.Ctx.man b)
+                Spcf.Parallel.export man a <> Spcf.Parallel.export pctx.Spcf.Ctx.man b)
               (List.combine short.Spcf.Ctx.outputs r.Spcf.Ctx.outputs)
           in
           match mismatch with
           | Some ((o, _, _), _) ->
-            failf "theta=%.3f: SPCF of %s differs between short-path and shared jobs=4"
-              theta o
+            failf "theta=%.3f: SPCF of %s differs between short-path and jobs=4" theta o
           | None -> Pass
         end
       in
@@ -106,7 +105,7 @@ let spcf_equal ~rng:_ ~budget net =
         Pass
         [
           (fun () -> against "path-based" path);
-          (fun () -> against_shared ());
+          (fun () -> against_parallel ());
           superset;
         ]
     in
@@ -122,19 +121,12 @@ let spcf_equal ~rng:_ ~budget net =
    block with one memoized DAG walk per signal ([Bdd.eval_vec]). The
    scalar [Network.eval] reference then cross-checks every pattern when
    the space is small, one pattern per block otherwise — the word
-   comparison has already pinned bitsim = bdd on all of them. The
-   network is elaborated on both BDD backends (sequential and shared),
-   and both answer every word. *)
+   comparison has already pinned bitsim = bdd on all of them. *)
 let bdd_vs_sim ~rng:_ ~budget net =
   let n = Array.length (Network.inputs net) in
   if n > 12 then Skip "too many inputs for exhaustive comparison"
   else begin
-    let elaborations =
-      [
-        ("seq", Network.to_bdds ~budget net);
-        ("shared", Network.to_bdds ~budget ~shared:true net);
-      ]
-    in
+    let man, funcs = Network.to_bdds ~budget net in
     let sim = Bitsim.prepare net in
     let nsig = Network.num_signals net in
     let npat = 1 lsl n in
@@ -156,37 +148,25 @@ let bdd_vs_sim ~rng:_ ~budget net =
       let words = Bitsim.eval_word sim pi_words in
       let report s b =
         let env = Array.init n (fun v -> (lo + b) lsr v land 1 = 1) in
-        let bdds =
-          List.map
-            (fun (name, (man, funcs)) ->
-              Printf.sprintf "bdd(%s)=%b" name (Bdd.eval man funcs.(s) env))
-            elaborations
-        in
-        failf "signal %s pattern %d: eval=%b bitsim=%b %s"
+        failf "signal %s pattern %d: eval=%b bitsim=%b bdd=%b"
           (Network.name_of net s) (lo + b)
           (Network.eval net env).(s)
           (words.(s) lsr b land 1 = 1)
-          (String.concat " " bdds)
+          (Bdd.eval man funcs.(s) env)
       in
-      (* Word-parallel: all 62 patterns of every signal at once, on
-         each backend. *)
-      List.iter
-        (fun (_, (man, funcs)) ->
-          for s = 0 to nsig - 1 do
-            if !result = Pass then begin
-              let diff =
-                (Bdd.eval_vec man funcs.(s) pi_words lxor words.(s)) land mask
-              in
-              if diff <> 0 then begin
-                let b = ref 0 in
-                while diff lsr !b land 1 = 0 do
-                  incr b
-                done;
-                result := report s !b
-              end
-            end
-          done)
-        elaborations;
+      (* Word-parallel: all 62 patterns of every signal at once. *)
+      for s = 0 to nsig - 1 do
+        if !result = Pass then begin
+          let diff = (Bdd.eval_vec man funcs.(s) pi_words lxor words.(s)) land mask in
+          if diff <> 0 then begin
+            let b = ref 0 in
+            while diff lsr !b land 1 = 0 do
+              incr b
+            done;
+            result := report s !b
+          end
+        end
+      done;
       (* Scalar reference cross-check. *)
       let scalar_checks = if !result = Pass then if n <= 8 then cnt else 1 else 0 in
       for b = 0 to scalar_checks - 1 do

@@ -26,6 +26,11 @@ val set_enabled : bool -> unit
 (** Toggle collection. Not synchronised: flip it before spawning worker
     domains, not while they run. *)
 
+val env_truthy : string -> bool
+(** Whether environment variable [name] is set to anything but ["0"]
+    or the empty string — the rule behind [EMASK_OBS], [EMASK_TRACE]
+    and [EMASK_OBS_DEBUG]. *)
+
 val debug : unit -> bool
 (** Debug-print toggle for ad-hoc tracing ([EMASK_OBS_DEBUG]; the
     legacy [EMASK_GEN_DEBUG] is honoured for compatibility). Distinct

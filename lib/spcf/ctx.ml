@@ -109,8 +109,7 @@ let of_funcs ~model ~sta ~budget circuit man funcs =
     budget;
   }
 
-let create ?(model = Sta.Library) ?(budget = Budget.unlimited) ?(shared = false)
-    circuit =
+let create ?(model = Sta.Library) ?(budget = Budget.unlimited) ?shared:_ circuit =
   Obs.enter "spcf.ctx.create";
   (* Budget exhaustion can raise out of [to_bdds]; keep the span tree
      balanced on that path. *)
@@ -118,7 +117,7 @@ let create ?(model = Sta.Library) ?(budget = Budget.unlimited) ?(shared = false)
   let sta = Obs.with_span "sta.analyze" (fun () -> Sta.analyze ~model circuit) in
   let man, funcs =
     Obs.with_span "network.to_bdds" (fun () ->
-        Network.to_bdds ~budget ~shared (Mapped.network circuit))
+        Network.to_bdds ~budget (Mapped.network circuit))
   in
   of_funcs ~model ~sta ~budget circuit man funcs
 

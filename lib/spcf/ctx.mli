@@ -27,9 +27,11 @@ val create :
   ?model:Sta.delay_model -> ?budget:Budget.t -> ?shared:bool -> Mapped.t -> t
 (** [budget] governs the context's BDD manager from construction on:
     both [to_bdds] and every subsequent SPCF computation can raise
-    [Budget.Budget_exceeded]. [shared] (default false) builds the
-    context over a concurrent BDD manager ({!Bdd.create_shared}) so
-    worker domains can compute SPCFs directly in it. *)
+    [Budget.Budget_exceeded]. Every context's manager is concurrent
+    ({!Bdd.create}), so worker domains can compute SPCFs directly in
+    it. [shared] is accepted and ignored: it chose between two BDD
+    backends, of which one remains, and the benchmark's probes still
+    pass it. *)
 
 val of_funcs :
   model:Sta.delay_model ->

@@ -68,14 +68,12 @@ let jobs_of jobs = if jobs >= 1 then jobs else Parallel.default_jobs ()
 
 (* One tier's context and Σ: the requested algorithm at tier 1,
    node-based at tier 2, Σ := 1 at tier 3. A multi-job run of an exact
-   tier gets the shared-manager context, so workers grow one DAG;
-   node-based is single-pass sequential and the floor does no SPCF
-   work, so both keep the plain backend. *)
+   tier grows one DAG from every worker; node-based is single-pass
+   sequential and the floor does no SPCF work. *)
 let run_tier ?(jobs = 0) ~model ~budget ~theta tier algorithm circuit =
   let jobs = jobs_of jobs in
   let algorithm = if tier = Exact then algorithm else Node_based in
-  let shared = Parallel.needs_shared ~jobs && tier = Exact && algorithm <> Node_based in
-  let ctx = Ctx.create ~model ~budget ~shared circuit in
+  let ctx = Ctx.create ~model ~budget circuit in
   let target = Ctx.target_of_theta ctx theta in
   let result =
     match (tier, algorithm) with

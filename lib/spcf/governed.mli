@@ -68,9 +68,8 @@ val run_tier :
 (** One tier's fresh context and Σ, at target [theta *. delta]: the
     requested [algorithm] on [Exact], node-based on [Node_fallback],
     Σ_y = 1 for every critical output on [Always_on]. [jobs] is
-    resolved by {!jobs_of} (default [0]: [EMASK_JOBS]); the context
-    gets the shared-manager backend exactly when the tier runs a
-    parallel exact algorithm. *)
+    resolved by {!jobs_of} (default [0]: [EMASK_JOBS]) and matters only
+    when the tier runs an exact algorithm. *)
 
 val ladder :
   spec:Budget.spec ->

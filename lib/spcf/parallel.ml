@@ -2,12 +2,11 @@
 
    The per-output SPCFs Σ_y are independent: each one is a function of
    the (immutable) mapped circuit, the delay model and the target only.
-   With [jobs > 1] the context must have been built with
-   [~shared:true]: all workers compute directly in the one concurrent
-   BDD manager and return node handles. Subgraphs common to several
-   output cones — exactly the reconvergent logic that makes table1
-   circuits expensive — are interned once instead of once per worker,
-   and no export/import pass exists at all.
+   With [jobs > 1] all workers compute directly in the context's
+   concurrent BDD manager and return node handles. Subgraphs common to
+   several output cones — exactly the reconvergent logic that makes
+   table1 circuits expensive — are interned once instead of once per
+   worker, and no export/import pass exists at all.
 
    The result is the same function set the sequential algorithms
    produce — ROBDDs are canonical, and every consumer (satcount, ISOP
@@ -35,17 +34,9 @@ type algorithm = Short_path | Path_based
    error: silently falling back to sequential would change the
    execution mode behind the user's back. *)
 let env_jobs () =
-  match Sys.getenv_opt "EMASK_JOBS" with
-  | None -> None
-  | Some raw -> (
-    match String.trim raw with
-    | "" -> None
-    | s -> (
-      match int_of_string_opt s with
-      | Some n when n >= 1 -> Some n
-      | Some _ | None ->
-        invalid_arg
-          (Printf.sprintf "EMASK_JOBS: expected a positive integer, got %S" raw)))
+  Budget.read_env "EMASK_JOBS"
+    (fun s -> match int_of_string_opt s with Some n when n >= 1 -> Some n | _ -> None)
+    "a positive integer"
 
 (* The default job count: EMASK_JOBS, else 1 — parallelism is opt-in so
    every seeded workflow stays on the sequential (identical) path. *)
@@ -122,21 +113,17 @@ let sequential ctx ~algorithm ~target =
 (* How one worker's share ended. Every exception is caught inside the
    worker, so no domain's join can raise and each one is joined before
    anything is re-raised: a worker left running would keep writing into
-   the shared manager after the caller has moved on. *)
+   the context's manager after the caller has moved on. *)
 type 'b outcome =
   | Done of 'b list
   | Out_of_budget of Budget.reason
   | Raised of exn * Printexc.raw_backtrace
 
-(* The backend rule: more than one worker means several domains in one
-   manager. *)
-let needs_shared ~jobs = jobs > 1
-
 (* The one round-robin domain map. Worker j owns items j, j+k, j+2k,
    ... — deterministic, and it interleaves neighbouring (often
    similar-sized) cones across workers. Every worker computes directly
-   in the context's shared manager. Worker j's p-th result is item
-   j + p*k, so re-interleaving restores item order.
+   in the context's manager. Worker j's p-th result is item j + p*k, so
+   re-interleaving restores item order.
 
    The calling domain runs share 0 itself and spawns only k − 1
    domains. A caller blocked in [Domain.join] still takes part in every
@@ -148,12 +135,6 @@ let needs_shared ~jobs = jobs > 1
    own Obs state ([Obs.isolated]) and merges as "worker 1", like any
    spawned worker's snapshot. *)
 let map ctx ~jobs items f =
-  if needs_shared ~jobs && not (Bdd.is_shared ctx.Ctx.man) then
-    invalid_arg
-      (Printf.sprintf
-         "Spcf.Parallel: jobs = %d needs a shared-manager context (Ctx.create \
-          ~shared:true)"
-         jobs);
   let n = Array.length items in
   let k = min jobs n in
   if k <= 1 then f items

@@ -1,9 +1,8 @@
 (** Domain-parallel per-output SPCF computation.
 
     The per-output SPCFs are independent given the (immutable) mapped
-    circuit. With [jobs > 1] on a shared-manager context
-    ([Ctx.create ~shared:true]) all workers compute node handles
-    directly in the one concurrent BDD manager — common subgraphs are
+    circuit. With [jobs > 1] all workers compute node handles
+    directly in the context's concurrent BDD manager — common subgraphs are
     interned once, and no export/import pass exists. Results are
     deterministic and function-identical to the sequential
     algorithms. With [jobs = 1] (the default) the sequential code
@@ -33,17 +32,10 @@ val compute : ?jobs:int -> Ctx.t -> algorithm:algorithm -> target:float -> Ctx.r
 (** [jobs] defaults to [default_jobs ()]. The result — outputs in
     critical-output order, union, counts — is the same function set the
     sequential algorithm produces; only [runtime] (wall clock) and the
-    internal node numbering of the shared manager may differ. Raises
-    [Invalid_argument] when [jobs > 1] and the context's manager is
-    not shared — there is no second execution mode to fall back to. *)
+    internal node numbering of the manager may differ. *)
 
 val short_path : ?jobs:int -> Ctx.t -> target:float -> Ctx.result
 val path_based : ?jobs:int -> Ctx.t -> target:float -> Ctx.result
-
-val needs_shared : jobs:int -> bool
-(** Whether a run with [jobs] workers needs a shared-manager context
-    ([Ctx.create ~shared:true]): [jobs > 1]. Every caller that builds a
-    context for {!map} or {!compute} picks its backend with this. *)
 
 val map : Ctx.t -> jobs:int -> 'a array -> ('a array -> 'b list) -> 'b list
 (** [map ctx ~jobs items f] is [f items] computed by [k = min jobs n]
@@ -56,8 +48,7 @@ val map : Ctx.t -> jobs:int -> 'a array -> ('a array -> 'b list) -> 'b list
     whole array. Otherwise the calling domain runs worker 0's chunk
     itself and spawns [k - 1] domains for the rest.
 
-    Raises [Invalid_argument] when [jobs > 1] and the manager is not
-    shared. A worker that raises [Budget.Budget_exceeded] cancels
+    A worker that raises [Budget.Budget_exceeded] cancels
     [ctx.budget], so its team-mates stop at their next poll. Every
     worker is joined and every Obs snapshot merged (in worker order,
     worker 0 as ["worker 1"]) before anything is re-raised: first any

@@ -3,11 +3,11 @@
    default manager and once on a 4-entry pinned computed-table, so
    every cache eviction path is exercised — plus directed adversarial
    cases for unique-table growth/rehash stability and generation-based
-   cache clearing. The complement-edge kernel is checked on both
-   backends: every apply op against exhaustive evaluation with operands
-   in both polarities, O(1) negation, the cofactor accessors, the
-   stored-edge normal form, and compiled cell elaboration against the
-   SOP fold. *)
+   cache clearing. The complement-edge kernel is checked against
+   exhaustive evaluation with operands in both polarities, with O(1)
+   negation, the cofactor accessors, the stored-edge normal form, and
+   compiled cell elaboration against the SOP fold. A fresh manager must
+   also be cheap to create. *)
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -193,8 +193,9 @@ let test_growth_and_rehash () =
   (* Hash-consing stability across rehashes: rebuilding the same
      function in the same manager finds every node again. *)
   check "stable handle after rehash" true (build_eq man = f);
-  (* The adaptive computed table tracked the unique table upward. *)
-  check "cache grew with table" true (Bdd.cache_capacity man > 1 lsl 14)
+  (* The calling domain's computed cache grew from its 2^12 start with
+     the misses. *)
+  check "cache grew with table" true (Bdd.cache_capacity man > 1 lsl 12)
 
 let test_fixed_cache_never_grows () =
   let man = Bdd.create ~cache_bits:2 ~nvars:(2 * eq_bits) () in
@@ -217,13 +218,11 @@ let test_clear_caches_identity () =
   done;
   check "same handle after 10k clears" true (Bdd.ite man f g (Bdd.bnot man g) = r1)
 
-(* ---------- Complement-edge kernel, both backends ---------- *)
+(* ---------- Complement-edge kernel ---------- *)
 
-let backends =
-  [
-    ("seq", fun nvars -> Bdd.create ~nvars ());
-    ("shared", fun nvars -> Bdd.create_shared ~nvars ());
-  ]
+(* Test names carry "(shared)": every manager is the shared-memory one
+   that several domains may grow. *)
+let create nvars = Bdd.create ~nvars ()
 
 (* A function of [n] variables as a truth table (row i assigns bit v of
    i to variable v), built in the manager by Shannon expansion. *)
@@ -256,9 +255,8 @@ let arb_tables =
    entry point of the AND, XOR and ITE recursions. *)
 let polarities man f = [ (f, false); (Bdd.bnot man f, true) ]
 
-let prop_ops_vs_eval (bname, create) =
-  QCheck.Test.make
-    ~name:(Printf.sprintf "kernel (%s): every op agrees with eval, <= 8 vars" bname)
+let prop_ops_vs_eval =
+  QCheck.Test.make ~name:"kernel (shared): every op agrees with eval, <= 8 vars"
     ~count:60 arb_tables (fun (n, ta, tb, tc) ->
       let man = create n in
       let f = bdd_of_table man n ta and g = bdd_of_table man n tb in
@@ -308,9 +306,8 @@ let prop_ops_vs_eval (bname, create) =
         (polarities man f);
       !ok)
 
-let prop_bnot_free (bname, create) =
-  QCheck.Test.make
-    ~name:(Printf.sprintf "kernel (%s): bnot allocates no node, is an involution" bname)
+let prop_bnot_free =
+  QCheck.Test.make ~name:"kernel (shared): bnot allocates no node, is an involution"
     ~count:60 arb_tables (fun (n, ta, _, _) ->
       let man = create n in
       let f = bdd_of_table man n ta in
@@ -323,9 +320,8 @@ let prop_bnot_free (bname, create) =
 
 (* The accessors see the plain ROBDD: low_of/high_of of a complemented
    handle are the cofactors of the complemented function. *)
-let prop_cofactors (bname, create) =
-  QCheck.Test.make
-    ~name:(Printf.sprintf "kernel (%s): low_of/high_of are cofactors" bname)
+let prop_cofactors =
+  QCheck.Test.make ~name:"kernel (shared): low_of/high_of are cofactors"
     ~count:60 arb_tables (fun (n, ta, _, _) ->
       let man = create n in
       let f = bdd_of_table man n ta in
@@ -353,10 +349,9 @@ let prop_cofactors (bname, create) =
                (List.init (1 lsl n) Fun.id))
         (polarities man f))
 
-(* Stored high edges are regular on both backends. *)
-let prop_high_regular (bname, create) =
-  QCheck.Test.make
-    ~name:(Printf.sprintf "kernel (%s): stored high edges are regular" bname)
+(* Stored high edges are regular. *)
+let prop_high_regular =
+  QCheck.Test.make ~name:"kernel (shared): stored high edges are regular"
     ~count:40 arb_tables (fun (n, ta, tb, tc) ->
       let man = create n in
       let f = bdd_of_table man n ta and g = bdd_of_table man n tb in
@@ -392,7 +387,7 @@ let random_inputs man k seed =
       in
       if Random.State.bool st then Bdd.bnot man f else f)
 
-let test_cells_compiled (_, create) () =
+let test_cells_compiled () =
   let man = create 8 in
   List.iter
     (fun (cell : Cell.t) ->
@@ -435,18 +430,17 @@ let cover_of k cubes =
        cubes)
 
 (* 1-5 variables run the compiled program; 6 takes the fold. *)
-let prop_cover_compiled (bname, create) =
-  QCheck.Test.make
-    ~name:(Printf.sprintf "cells (%s): compiled cover_with = SOP fold, 1-6 vars" bname)
+let prop_cover_compiled =
+  QCheck.Test.make ~name:"cells (shared): compiled cover_with = SOP fold, 1-6 vars"
     ~count:300 arb_cover (fun (k, cubes, seed) ->
       let man = create 8 in
       let cover = cover_of k cubes in
       let inputs = random_inputs man k seed in
       Bdd.cover_with man cover inputs = sop_fold man cover inputs)
 
-(* The sequential recursions keep their state in registers: once every
-   node exists, recomputing AND, XOR and ITE from a cleared cache
-   allocates no heap words. *)
+(* The recursions keep their state in registers: once every node
+   exists, recomputing AND, XOR and ITE from a cleared cache allocates
+   no heap words. *)
 let test_apply_allocation_free () =
   let man = Bdd.create ~nvars:(2 * eq_bits) () in
   let f = build_eq man in
@@ -465,6 +459,19 @@ let test_apply_allocation_free () =
   in
   let baseline = words ignore in
   check "no allocation" true (words ops = baseline)
+
+(* Creating a manager is cheap: a daemon builds one per circuit and
+   per eco snapshot, so a fixed per-manager allocation is paid on every
+   cache miss. One 2^12-node chunk, a 16-slot spine and 64 stripes of
+   64 slots come to about 17k words. *)
+let test_create_cheap () =
+  ignore (Bdd.create ~nvars:40 () : Bdd.man);
+  let b0 = Gc.allocated_bytes () in
+  let man = Bdd.create ~nvars:40 () in
+  let words = (Gc.allocated_bytes () -. b0) /. float_of_int (Sys.word_size / 8) in
+  ignore (Sys.opaque_identity man : Bdd.man);
+  if words >= 32_768. then
+    Alcotest.failf "Bdd.create ~nvars:40 allocated %.0f words (bound 32768)" words
 
 (* Deterministic QCheck seeding (no wall-clock self-init): the state
    comes from Fuzz.Rng.qcheck_state, overridable via QCHECK_SEED. *)
@@ -486,18 +493,14 @@ let () =
             test_clear_caches_identity;
           Alcotest.test_case "apply ops allocate nothing" `Quick
             test_apply_allocation_free;
+          Alcotest.test_case "fresh manager allocates < 32Ki words" `Quick
+            test_create_cheap;
         ] );
-      qsuite "kernel"
-        (List.concat_map
-           (fun b ->
-             [ prop_ops_vs_eval b; prop_bnot_free b; prop_cofactors b; prop_high_regular b ])
-           backends);
+      qsuite "kernel" [ prop_ops_vs_eval; prop_bnot_free; prop_cofactors; prop_high_regular ];
       ( "cells",
-        List.map
-          (fun ((bname, _) as b) ->
-            Alcotest.test_case
-              (Printf.sprintf "every Cell.all cover compiled (%s)" bname)
-              `Quick (test_cells_compiled b))
-          backends );
-      qsuite "cells-prop" (List.map prop_cover_compiled backends);
+        [
+          Alcotest.test_case "every Cell.all cover compiled (shared)" `Quick
+            test_cells_compiled;
+        ] );
+      qsuite "cells-prop" [ prop_cover_compiled ];
     ]

@@ -179,9 +179,9 @@ let test_repro_blif_parses () =
 (* ---------- Spcf.Parallel determinism (satellite) ---------- *)
 
 (* jobs ∈ {1,2,4,8} must produce byte-identical exported SPCF DAGs on
-   every specimen. jobs > 1 runs in a shared-manager context, so the
-   comparison is the canonical postorder export, which cannot depend on
-   the manager or the worker count. *)
+   every specimen. Each run builds its own context, so the comparison
+   is the canonical postorder export, which cannot depend on the
+   manager or the worker count. *)
 let test_parallel_determinism () =
   let root = Fuzz.Rng.create ~seed:2024 in
   let circuits = 100 in
@@ -189,7 +189,7 @@ let test_parallel_determinism () =
     let spec = Fuzz.Gen.generate (Fuzz.Rng.child root i) in
     let mc = Mapper.map (Fuzz.Gen.network spec) in
     let dags jobs =
-      let ctx = Spcf.Ctx.create ~shared:(jobs > 1) mc in
+      let ctx = Spcf.Ctx.create mc in
       let target = Spcf.Ctx.target_of_theta ctx 0.9 in
       let r = Spcf.Parallel.short_path ~jobs ctx ~target in
       List.map

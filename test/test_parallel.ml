@@ -87,11 +87,9 @@ let same_result (ctx1, (r1 : Spcf.Ctx.result)) (ctx4, (r4 : Spcf.Ctx.result)) =
   check "union satcount" true
     (Extfloat.equal (Spcf.Ctx.count ctx1 r1) (Spcf.Ctx.count ctx4 r4))
 
-(* jobs > 1 runs on the shared-manager backend, the only parallel
-   mode; jobs = 1 keeps the sequential manager. *)
 let run_spcf algo jobs name =
   let mc = Mapper.map (Suite.load name) in
-  let ctx = Spcf.Ctx.create ~shared:(jobs > 1) mc in
+  let ctx = Spcf.Ctx.create mc in
   let target = Spcf.Ctx.target_of_theta ctx 0.9 in
   let r =
     match algo with
@@ -105,24 +103,29 @@ let test_spcf_determinism algo () =
     (fun name -> same_result (run_spcf algo 1 name) (run_spcf algo 4 name))
     circuits
 
-(* There is no private-manager fallback: asking for workers on a
-   sequential-manager context is an argument error, not a silent
-   change of execution mode. *)
-let test_needs_shared () =
+(* Every context takes workers: jobs=2 on a plain [Ctx.create]
+   context computes in the same manager as jobs=1, so its Σ handles
+   are the jobs=1 handles. *)
+let test_jobs2_plain_context () =
   let mc = Mapper.map (Suite.load "x2") in
   let ctx = Spcf.Ctx.create mc in
-  let target = Spcf.Ctx.target_of_theta ctx 0.9 in
-  check "jobs=2 on a sequential manager raises" true
-    (match Spcf.Parallel.short_path ~jobs:2 ctx ~target with
-    | _ -> false
-    | exception Invalid_argument _ -> true)
+  let target = Spcf.Ctx.target_of_theta ctx 0.5 in
+  check "several critical outputs" true
+    (Array.length (Sta.critical_outputs ctx.Spcf.Ctx.sta ~target) > 1);
+  let sigmas jobs =
+    List.map
+      (fun (o, _, (s : Bdd.t)) -> (o, (s :> int)))
+      (Spcf.Parallel.short_path ~jobs ctx ~target).Spcf.Ctx.outputs
+  in
+  let r1 = sigmas 1 in
+  check "jobs=2 = jobs=1, handle for handle" true (sigmas 2 = r1)
 
 (* A worker that exhausts the shared budget cancels the team, and the
    caller sees the root cause, not the teammates' Cancelled. The node
    quota leaves the context's global BDDs room but not the SPCFs. *)
 let test_budget_cancels_team () =
   let mc = Mapper.map (Suite.load "x2") in
-  let base = Bdd.num_nodes (Spcf.Ctx.create ~shared:true mc).Spcf.Ctx.man in
+  let base = Bdd.num_nodes (Spcf.Ctx.create mc).Spcf.Ctx.man in
   let stopped what run =
     let budget = Budget.create ~max_nodes:(base + 50) () in
     (match run budget with
@@ -132,7 +135,7 @@ let test_budget_cancels_team () =
     check (what ^ ": the team was cancelled") true (Budget.cancelled budget)
   in
   stopped "spcf" (fun budget ->
-      let ctx = Spcf.Ctx.create ~budget ~shared:true mc in
+      let ctx = Spcf.Ctx.create ~budget mc in
       let target = Spcf.Ctx.target_of_theta ctx 0.5 in
       check "several critical outputs" true
         (Array.length (Sta.critical_outputs ctx.Spcf.Ctx.sta ~target) > 1);
@@ -278,14 +281,14 @@ let test_obs_dag_identical () =
 (* ---------- The calling domain as worker 0 ---------- *)
 
 (* A worker's exception surfaces only once every worker has returned:
-   a team-mate left running would keep writing into the shared manager
+   a team-mate left running would keep writing into the context's manager
    after the caller moved on. The failing worker raises as soon as its
    team-mate has started; the team-mate then keeps working for 50 ms
    before it flags that its [f] returned. Two shapes: the caller's own
    share 0 fails (k = 2), and a spawned worker fails ahead of a later
    one (k = 3). *)
 let test_map_joins_before_raise () =
-  let ctx = Spcf.Ctx.create ~shared:true (Mapper.map (Suite.load "cmb")) in
+  let ctx = Spcf.Ctx.create (Mapper.map (Suite.load "cmb")) in
   List.iter
     (fun (jobs, failing) ->
       let started = Atomic.make false and finished = Atomic.make false in
@@ -390,7 +393,7 @@ let test_team_memo_sigmas () =
       List.iter
         (fun theta ->
           let spcf jobs =
-            let ctx = Spcf.Ctx.create ~shared:(jobs > 1) mc in
+            let ctx = Spcf.Ctx.create mc in
             let target = Spcf.Ctx.target_of_theta ctx theta in
             dag_bytes (ctx, Spcf.Parallel.short_path ~jobs ctx ~target)
           in
@@ -421,7 +424,7 @@ let test_team_memo_keys () =
     (fun name ->
       let mc = Mapper.map (Suite.load name) in
       let keys jobs =
-        let ctx = Spcf.Ctx.create ~shared:(jobs > 1) mc in
+        let ctx = Spcf.Ctx.create mc in
         let target = Spcf.Ctx.target_of_theta ctx 0.5 in
         let memo = Spcf.Exact.Memo.create ~shared:(jobs > 1) in
         let outputs = Sta.critical_outputs ctx.Spcf.Ctx.sta ~target in
@@ -465,7 +468,8 @@ let () =
             (test_spcf_determinism `Path);
           Alcotest.test_case "synthesis jobs=4 = jobs=1" `Quick
             test_synthesis_determinism;
-          Alcotest.test_case "jobs > 1 needs a shared manager" `Quick test_needs_shared;
+          Alcotest.test_case "jobs=2 on a plain context = jobs=1" `Quick
+            test_jobs2_plain_context;
           Alcotest.test_case "budget exhaustion cancels the team" `Quick
             test_budget_cancels_team;
           Alcotest.test_case "map joins every worker before raising" `Quick

@@ -4,9 +4,8 @@
    (var, low, high) triple, handles stable across stripe growth, every
    domain agreeing on the handle of every function, compiled cell
    elaboration agreeing with the SOP fold from every domain. On top of
-   the raw core, the jobs knob of the shared-manager SPCF/synthesis
-   path must not change a single output byte over the fuzzed-circuit
-   corpus. *)
+   the raw core, the jobs knob of the SPCF/synthesis path must not
+   change a single output byte over the fuzzed-circuit corpus. *)
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -104,7 +103,7 @@ let spawn_all bodies =
    other domains are publishing concurrently. All domains must agree
    on every pool handle, and the table must stay canonical. *)
 let test_hammer ndomains () =
-  let man = Bdd.create_shared ~cache_bits:10 ~nvars () in
+  let man = Bdd.create ~cache_bits:10 ~nvars () in
   let results =
     spawn_all
       (Array.init ndomains (fun d () ->
@@ -143,7 +142,7 @@ let test_hammer ndomains () =
 (* Handles must survive stripe growth/rehash: record them, force a few
    doublings with bulk concurrent inserts, then re-derive. *)
 let test_stable_across_growth () =
-  let man = Bdd.create_shared ~nvars () in
+  let man = Bdd.create ~nvars () in
   let before = List.map (build man) pool in
   let evals =
     List.map
@@ -183,7 +182,7 @@ let test_stable_across_growth () =
 (* clear_caches from the main domain must invalidate every domain's
    computed cache without changing any result. *)
 let test_clear_caches_shared () =
-  let man = Bdd.create_shared ~nvars () in
+  let man = Bdd.create ~nvars () in
   let r1 = spawn_all (Array.init 4 (fun _ () -> List.map (build man) pool)) in
   Bdd.clear_caches man;
   let r2 = spawn_all (Array.init 4 (fun _ () -> List.map (build man) pool)) in
@@ -195,7 +194,7 @@ let test_clear_caches_shared () =
    writers can overshoot by at most their in-flight claims, and at
    least one of them must hit the wall. *)
 let test_shared_node_wall () =
-  let man = Bdd.create_shared ~nvars () in
+  let man = Bdd.create ~nvars () in
   let quota = 2000 in
   Bdd.set_budget man (Budget.create ~max_nodes:quota ());
   let ndomains = 4 in
@@ -223,7 +222,7 @@ let test_shared_node_wall () =
    them on the shared manager, and every domain must land on the
    handle the cube-by-cube SOP fold gives. *)
 let test_cells_concurrent () =
-  let man = Bdd.create_shared ~nvars () in
+  let man = Bdd.create ~nvars () in
   let inputs =
     Array.of_list (List.map (build man) (List.filteri (fun i _ -> i < 4) pool))
   in
@@ -258,7 +257,7 @@ let test_cells_concurrent () =
    stripes allocate about 25k words here, boxed slots about 540k). *)
 let test_growth_allocation_bounded () =
   let bits = 16 in
-  let man = Bdd.create_shared ~nvars:bits () in
+  let man = Bdd.create ~nvars:bits () in
   let w0 = Gc.minor_words () in
   for m = 0 to (1 lsl (bits - 1)) - 1 do
     let r = ref Bdd.btrue in
@@ -297,14 +296,13 @@ let dag_bytes ctx (r : Spcf.Ctx.result) =
   |> String.concat "|"
 
 (* Σ functions (as canonical manager-independent DAG bytes) must be
-   identical for jobs ∈ {1,2,4,8}; jobs > 1 runs in a shared-manager
-   context. *)
+   identical for jobs ∈ {1,2,4,8}. *)
 let test_spcf_jobs_identical () =
   List.iter
     (fun (seed, net) ->
       let mc = Mapper.map net in
       let run jobs =
-        let ctx = Spcf.Ctx.create ~shared:(jobs > 1) mc in
+        let ctx = Spcf.Ctx.create mc in
         let target = Spcf.Ctx.target_of_theta ctx 0.9 in
         let r = Spcf.Parallel.short_path ~jobs ctx ~target in
         dag_bytes ctx r
