@@ -172,10 +172,10 @@ let budget man = man.budget
 let nvars man = man.nvars
 
 (* Field access by node id through a spine read after the id was
-   learnt. A node id only ever reaches a domain through a stripe lock,
-   another mutex (the SPCF team memo) or Domain.spawn/join, each of
-   which makes the chunk and spine writes behind it visible — see
-   DESIGN.md §13. *)
+   learnt. A node id only ever reaches a domain through a stripe lock
+   or another mutex (the SPCF team memo, the parallel helpers' handoff
+   lock), each of which makes the chunk and spine writes behind it
+   visible — see DESIGN.md §13. *)
 let[@inline] node_var sp n =
   Array.unsafe_get (Array.unsafe_get sp (n lsr chunk_bits)) ((n land chunk_mask) * 3)
 
@@ -343,11 +343,15 @@ let[@inline] mk man v lo hi =
    (k1 >= 0).
 
    The cache starts small and doubles toward the manager's
-   2^cache_bits as the domain accumulates misses: worker domains are
-   freshly spawned per parallel run, so a full-size up-front
-   allocation (megabytes, zeroed) would be a fixed per-domain tax paid
-   before any useful work — measurable milliseconds per worker —
-   while short-lived workers never profit from the full size. *)
+   2^cache_bits as the domain accumulates misses, and a domain keeps
+   the size it reached for its later managers (parallel SPCF helpers
+   live as long as their calling domain). The start only matters to a
+   domain's first, short runs, and there a large zeroed allocation
+   costs more than the recomputation a small cache causes: on a
+   one-shot [emask protect --jobs 1], a 2^14 start cuts the ite calls
+   of C432 and C880 by a fifth but their wall time by 0 and 2 %, while
+   a 2^16 start is 7–12 % slower on both
+   (EXPERIMENTS.md, "Persistent SPCF helpers"). *)
 type dcache = {
   mutable d_owner : int; (* manager uid; 0 = unowned *)
   mutable d_ck1 : int array;

@@ -29,12 +29,12 @@ val create : ?cache_bits:int -> nvars:int -> unit -> man
     chunk; the node store and the 64 unique-table stripes grow on
     demand). The ite computed cache is per-domain ([Domain.DLS]): it
     starts at 2^12 entries and doubles with misses up to
-    [2^cache_bits] (default 2^16, at most 2^20), so freshly spawned
-    worker domains pay no up-front megabyte allocation; a small
+    [2^cache_bits] (default 2^16, at most 2^20); a small
     [cache_bits] stress-tests eviction. A handle handed from one domain
-    to another must cross a mutex or [Domain.spawn]/[Domain.join] (a
-    racy store is not enough): that is what makes the node fields
-    behind it visible. See DESIGN.md §13. *)
+    to another must cross a mutex (such as the parallel SPCF helpers'
+    handoff lock) or [Domain.spawn]/[Domain.join] (a racy store is not
+    enough): that is what makes the node fields behind it visible. See
+    DESIGN.md §13. *)
 
 val nvars : man -> int
 val num_nodes : man -> int

@@ -15,17 +15,17 @@
    runs the sequential algorithm unchanged, keeping single-job runs
    bit-for-bit identical to the pre-parallel code path.
 
-   The calling domain is worker 0 and spawns the other k − 1 (see
-   [map]); short-path workers share one stability memo across the team
-   (see [sigmas]), so a parallel run does the sequential run's
-   stability work, split.
+   The calling domain is worker 0 and hands the other k − 1 shares to
+   helper domains it keeps from call to call (see [map]); short-path
+   workers share one stability memo across the team (see [sigmas]), so
+   a parallel run does the sequential run's stability work, split.
 
-   Observability composes with parallelism: each worker records into
-   its own domain-local Obs collectors (Domain.DLS; worker 0 into a
-   fresh state swapped in on the caller), exports a snapshot as its
-   last act, and the caller merges the snapshots in worker order after
-   the join — so `--jobs N --stats` reports true parallel behaviour
-   with per-domain attribution. *)
+   Observability composes with parallelism: each worker records into a
+   fresh domain-local Obs state (Domain.DLS, swapped in by
+   [Obs.isolated]), exports a snapshot as its last act, and the caller
+   merges the snapshots in worker order once every share has finished
+   — so `--jobs N --stats` reports true parallel behaviour with
+   per-domain attribution. *)
 
 type algorithm = Short_path | Path_based
 
@@ -110,10 +110,90 @@ let sequential ctx ~algorithm ~target =
   | Short_path -> Exact.short_path ctx ~target
   | Path_based -> Exact.path_based ctx ~target
 
+(* --- helper domains --------------------------------------------------
+
+   Each calling domain owns the helper domains that run shares 1..k−1
+   of its [map] calls. A helper is spawned the first time its owner
+   asks for more helpers than it has, waits on its own condition
+   between calls, and is stopped and joined when the owner exits
+   ([Domain.at_exit]), so a serve worker that shuts down leaves no
+   parked domain behind. A helper keeps its domain-local state from one
+   call to the next: its computed cache at the size it grew to, its
+   compiled cell programs, its heaps. One team per calling domain, not
+   one per process: two serve workers that both run jobs > 1 requests
+   never queue for each other's helpers.
+
+   The handoff mutex orders caller and helper in both directions. What
+   the caller wrote before handing a share over (nodes, chunks, the
+   items) is visible to the helper once it sees its task; what the
+   helper wrote (its nodes, its result) is visible to the caller once
+   it sees the helper idle again. *)
+
+type task = Idle | Run of (unit -> unit) | Stop
+
+(* Only the owner and the helper wait on [wake], and never at once:
+   the helper waits while [Idle], the owner while [Run]. *)
+type helper = { lock : Mutex.t; wake : Condition.t; mutable task : task }
+
+type team = { mutable helpers : (helper * unit Domain.t) array; mutable busy : bool }
+
+let rec run_helper h =
+  Mutex.lock h.lock;
+  while (match h.task with Idle -> true | Run _ | Stop -> false) do
+    Condition.wait h.wake h.lock
+  done;
+  match h.task with
+  | Run f ->
+    Mutex.unlock h.lock;
+    f ();
+    Mutex.lock h.lock;
+    (* A [Stop] that arrived while [f] ran (the owner exiting from
+       inside its own share) must survive. *)
+    (match h.task with Run _ -> h.task <- Idle | Idle | Stop -> ());
+    Condition.signal h.wake;
+    Mutex.unlock h.lock;
+    run_helper h
+  | Idle | Stop -> Mutex.unlock h.lock
+
+let set_task h t =
+  Mutex.lock h.lock;
+  h.task <- t;
+  Condition.signal h.wake;
+  Mutex.unlock h.lock
+
+let await h =
+  Mutex.lock h.lock;
+  while (match h.task with Run _ -> true | Idle | Stop -> false) do
+    Condition.wait h.wake h.lock
+  done;
+  Mutex.unlock h.lock
+
+(* A domain's team, created on its first [map]; the domain's exit
+   stops and joins the team's helpers. *)
+let team_key =
+  Domain.DLS.new_key (fun () ->
+      let team = { helpers = [||]; busy = false } in
+      Domain.at_exit (fun () ->
+          Array.iter (fun (h, _) -> set_task h Stop) team.helpers;
+          Array.iter (fun (_, d) -> Domain.join d) team.helpers;
+          team.helpers <- [||]);
+      team)
+
+(* The team's first [n] helpers, spawning the missing ones. One at a
+   time, so a spawn that fails (the runtime's domain cap) leaves every
+   helper spawned so far in the team, to be joined. *)
+let helpers team n =
+  while Array.length team.helpers < n do
+    let h = { lock = Mutex.create (); wake = Condition.create (); task = Idle } in
+    let d = Domain.spawn (fun () -> run_helper h) in
+    team.helpers <- Array.append team.helpers [| (h, d) |]
+  done;
+  team.helpers
+
 (* How one worker's share ended. Every exception is caught inside the
-   worker, so no domain's join can raise and each one is joined before
-   anything is re-raised: a worker left running would keep writing into
-   the context's manager after the caller has moved on. *)
+   share, so each helper reports back and is awaited before anything
+   is re-raised: a worker left running would keep writing into the
+   context's manager after the caller has moved on. *)
 type 'b outcome =
   | Done of 'b list
   | Out_of_budget of Budget.reason
@@ -125,20 +205,27 @@ type 'b outcome =
    in the context's manager. Worker j's p-th result is item j + p*k, so
    re-interleaving restores item order.
 
-   The calling domain runs share 0 itself and spawns only k − 1
-   domains. A caller blocked in [Domain.join] still takes part in every
-   stop-the-world minor collection through its backup thread, which on
-   a machine with as many cores as workers must first win a timeslice
-   from them; measured on 2 vCPUs, 1 M small allocations in each of two
-   domains took 28–33 ms with two spawned domains and an idle caller,
-   3.1 ms with the caller as one of the two. Share 0 records into its
-   own Obs state ([Obs.isolated]) and merges as "worker 1", like any
-   spawned worker's snapshot. *)
+   The calling domain runs share 0 itself and hands shares 1..k−1 to
+   its helpers. A domain blocked on a condition or in [Domain.join]
+   still takes part in every stop-the-world minor collection through
+   its backup thread, which on a machine with as many cores as workers
+   must first win a timeslice from them; measured on 2 vCPUs, 1 M
+   small allocations in each of two domains took 28–33 ms with two
+   spawned domains and an idle caller, 3.1 ms with the caller as one
+   of the two. Every share records into its own Obs state
+   ([Obs.isolated]), so nothing a helper recorded carries over to its
+   next call, and merges as "worker j+1".
+
+   A call made from inside a share of the same domain finds the team
+   busy and runs [f] on the whole array itself, which gives the same
+   answer. *)
 let map ctx ~jobs items f =
   let n = Array.length items in
   let k = min jobs n in
-  if k <= 1 then f items
+  let team = Domain.DLS.get team_key in
+  if k <= 1 || team.busy then f items
   else begin
+    let helpers = helpers team (k - 1) in
     let collect = Obs.on () in
     let share j () =
       let chunk = Array.init (((n - j - 1) / k) + 1) (fun p -> items.(j + (p * k))) in
@@ -151,21 +238,27 @@ let map ctx ~jobs items f =
         Out_of_budget r
       | exception e -> Raised (e, Printexc.get_raw_backtrace ())
     in
-    (* Exporting the snapshot is a spawned worker's last act, on every
-       path: partial work must still be attributed. *)
-    let spawned =
-      Array.init (k - 1) (fun j ->
-          Domain.spawn (fun () ->
-              let res = share (j + 1) () in
-              (res, if collect then Some (Obs.export_snapshot ()) else None)))
+    (* The snapshot is exported on every path: partial work must still
+       be attributed. [run] never raises, so a helper always reports
+       back. *)
+    let run j =
+      try
+        if collect then
+          let res, snap = Obs.isolated (share j) in
+          (res, Some snap)
+        else (share j (), None)
+      with e -> (Raised (e, Printexc.get_raw_backtrace ()), None)
     in
-    let own =
-      if collect then
-        let res, snap = Obs.isolated (share 0) in
-        (res, Some snap)
-      else (share 0 (), None)
-    in
-    let joined = Array.append [| own |] (Array.map Domain.join spawned) in
+    let joined = Array.make k (Done [], None) in
+    team.busy <- true;
+    for j = 1 to k - 1 do
+      set_task (fst helpers.(j - 1)) (Run (fun () -> joined.(j) <- run j))
+    done;
+    joined.(0) <- run 0;
+    for j = 1 to k - 1 do
+      await (fst helpers.(j - 1))
+    done;
+    team.busy <- false;
     (* Merge observability snapshots first, in worker order, so the
        registry is complete and deterministic even when an error
        propagates below. *)
@@ -175,7 +268,7 @@ let map ctx ~jobs items f =
           (Obs.merge_snapshot ~label:(Printf.sprintf "worker %d" (j + 1)))
           snap)
       joined;
-    (* Every domain has joined. A worker's own exception wins, in worker
+    (* Every share has finished. A worker's own exception wins, in worker
        order; then the root cause (the first non-Cancelled reason) if
        any worker ran out of budget. *)
     Array.iter

@@ -7,10 +7,11 @@
     deterministic and function-identical to the sequential
     algorithms. With [jobs = 1] (the default) the sequential code
     path runs unchanged. The calling domain runs worker 0's share and
-    spawns the rest; short-path workers share one stability memo.
-    Obs collection composes with parallelism: workers record into
-    domain-local collectors, and their snapshots are merged into the
-    caller's registry in worker order after the join, so
+    hands the rest to helper domains it keeps from call to call;
+    short-path workers share one stability memo. Obs collection
+    composes with parallelism: workers record into domain-local
+    collectors, and their snapshots are merged into the caller's
+    registry in worker order once every share has finished, so
     [--jobs N --stats] reports true parallel behaviour with per-domain
     attribution. *)
 
@@ -46,14 +47,19 @@ val map : Ctx.t -> jobs:int -> 'a array -> ('a array -> 'b list) -> 'b list
     are re-interleaved into item order, so the answer is the same list
     for every [jobs]. With [k <= 1] this is a direct call of [f] on the
     whole array. Otherwise the calling domain runs worker 0's chunk
-    itself and spawns [k - 1] domains for the rest.
+    itself and hands the other [k - 1] chunks to its helper domains:
+    each calling domain spawns its helpers on first need, up to the
+    largest [k - 1] it has asked for, reuses them on every later call,
+    and stops and joins them when it exits ([Domain.at_exit]). A call
+    made from inside one of its own shares runs [f] on the whole array.
 
     A worker that raises [Budget.Budget_exceeded] cancels
     [ctx.budget], so its team-mates stop at their next poll. Every
-    worker is joined and every Obs snapshot merged (in worker order,
+    share finishes and every Obs snapshot is merged (in worker order,
     worker 0 as ["worker 1"]) before anything is re-raised: first any
     other exception a worker raised, in worker order, then the first
-    non-[Cancelled] budget reason. *)
+    non-[Cancelled] budget reason. Every share records into a fresh Obs
+    state, so nothing a helper records carries over to a later call. *)
 
 val sigmas :
   Ctx.t ->

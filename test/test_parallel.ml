@@ -320,6 +320,81 @@ let test_map_joins_before_raise () =
           (Atomic.get finished))
     [ (2, 0); (3, 1) ]
 
+(* ---------- Helper domains persist across calls ---------- *)
+
+let squares chunk = Array.to_list (Array.map (fun i -> i * i) chunk)
+let self_id () = (Domain.self () :> int)
+
+(* Share 1 of two consecutive calls on one domain runs on the same
+   helper, and that helper is not the caller. *)
+let test_helpers_reused () =
+  let ctx = Spcf.Ctx.create (Mapper.map (Suite.load "cmb")) in
+  let where () =
+    Spcf.Parallel.map ctx ~jobs:2 [| 0; 1 |] (fun chunk ->
+        List.map (fun _ -> self_id ()) (Array.to_list chunk))
+  in
+  match (where (), where ()) with
+  | [ c1; h1 ], [ c2; h2 ] ->
+    check_int "share 0 runs on the caller" (self_id ()) c1;
+    check_int "share 0 runs on the caller again" c1 c2;
+    check "share 1 runs on a helper" true (h1 <> c1);
+    check_int "share 1 runs on the same helper both times" h1 h2
+  | _ -> Alcotest.fail "expected two results per call"
+
+(* A share that raises is caught inside its helper, which then parks
+   again: the next call on the same domain completes, with the jobs-1
+   answer, on the same helper. *)
+let test_raise_keeps_team () =
+  let ctx = Spcf.Ctx.create (Mapper.map (Suite.load "cmb")) in
+  let items = Array.init 7 Fun.id in
+  let helper = ref (-1) in
+  let f chunk =
+    if chunk.(0) = 1 then helper := self_id ();
+    squares chunk
+  in
+  ignore (Spcf.Parallel.map ctx ~jobs:2 items f : int list);
+  let first = !helper in
+  (match
+     Spcf.Parallel.map ctx ~jobs:2 items (fun chunk ->
+         if chunk.(0) = 1 then failwith "share 1 failed" else squares chunk)
+   with
+  | _ -> Alcotest.fail "expected share 1's Failure"
+  | exception Failure msg -> check_str "share 1's own exception" "share 1 failed" msg);
+  check "next call = jobs 1" true
+    (Spcf.Parallel.map ctx ~jobs:2 items f = Spcf.Parallel.map ctx ~jobs:1 items f);
+  check_int "share 1 still runs on the same helper" first !helper
+
+(* A map called from inside share 0 finds its domain's team busy: it
+   runs on the calling domain alone and still gives the jobs-1 answer,
+   and the outer call's helper finishes its own share. *)
+let test_nested_map () =
+  let ctx = Spcf.Ctx.create (Mapper.map (Suite.load "cmb")) in
+  let items = Array.init 5 Fun.id in
+  let inner = ref [] in
+  let outer =
+    Spcf.Parallel.map ctx ~jobs:2 items (fun chunk ->
+        if chunk.(0) = 0 then inner := Spcf.Parallel.map ctx ~jobs:2 items squares;
+        squares chunk)
+  in
+  check "outer = jobs 1" true (outer = squares items);
+  check "inner = jobs 1" true (!inner = squares items)
+
+(* Fifty short-lived domains, one after another, each call a jobs-4
+   map and exit. Each owner's exit joins its three helpers; a leaked
+   helper would stay parked, and the 150 of them would pass the
+   runtime's cap of 128 domains. *)
+let test_owner_exit_joins () =
+  let ctx = Spcf.Ctx.create (Mapper.map (Suite.load "cmb")) in
+  let items = Array.init 8 Fun.id in
+  let expected = squares items in
+  for i = 1 to 50 do
+    let got =
+      Domain.join (Domain.spawn (fun () -> Spcf.Parallel.map ctx ~jobs:4 items squares))
+    in
+    check (Printf.sprintf "owner %d: results" i) true (got = expected)
+  done;
+  check_int "a domain still spawns" 1 (Domain.join (Domain.spawn (fun () -> 1)))
+
 (* Twenty traced jobs-2 runs into one registry, never reset: each run
    adds exactly one "worker 1" and one "worker 2" row, the rows account
    for every lateness count the run added (all of them happen inside
@@ -478,6 +553,14 @@ let () =
             test_team_memo_sigmas;
           Alcotest.test_case "team memo keys = sequential misses" `Quick
             test_team_memo_keys;
+        ] );
+      ( "helpers",
+        [
+          Alcotest.test_case "helpers are reused" `Quick test_helpers_reused;
+          Alcotest.test_case "a raising share leaves the team usable" `Quick
+            test_raise_keeps_team;
+          Alcotest.test_case "a nested map runs on its caller" `Quick test_nested_map;
+          Alcotest.test_case "owner exit joins its helpers" `Quick test_owner_exit_joins;
         ] );
       ( "observability",
         [
