@@ -112,16 +112,16 @@ let sequential ctx ~algorithm ~target =
 
 (* --- helper domains --------------------------------------------------
 
-   Each calling domain owns the helper domains that run shares 1..k−1
-   of its [map] calls. A helper is spawned the first time its owner
-   asks for more helpers than it has, waits on its own condition
-   between calls, and is stopped and joined when the owner exits
-   ([Domain.at_exit]), so a serve worker that shuts down leaves no
-   parked domain behind. A helper keeps its domain-local state from one
-   call to the next: its computed cache at the size it grew to, its
-   compiled cell programs, its heaps. One team per calling domain, not
-   one per process: two serve workers that both run jobs > 1 requests
-   never queue for each other's helpers.
+   Each calling domain owns the helper domains that run the shares of
+   its [map] calls beyond its own. A helper is spawned the first time
+   its owner needs more helpers than it has, up to [max_helpers] of
+   them, waits on its own condition between calls, and is stopped and
+   joined when the owner exits ([Domain.at_exit]), so a serve worker
+   that shuts down leaves no parked domain behind. A helper keeps its
+   domain-local state from one call to the next: its computed cache at
+   the size it grew to, its compiled cell programs, its heaps. One team
+   per calling domain, not one per process: two serve workers that both
+   run jobs > 1 requests never queue for each other's helpers.
 
    The handoff mutex orders caller and helper in both directions. What
    the caller wrote before handing a share over (nodes, chunks, the
@@ -179,16 +179,24 @@ let team_key =
           team.helpers <- [||]);
       team)
 
-(* The team's first [n] helpers, spawning the missing ones. One at a
-   time, so a spawn that fails (the runtime's domain cap) leaves every
-   helper spawned so far in the team, to be joined. *)
+(* Beyond one domain per core more helpers only time-slice, and every
+   parked helper takes part in each stop-the-world minor collection of
+   the process, so a team keeps at most this many. At least one, so a
+   map with k > 1 always runs two domains at once. *)
+let max_helpers = max 1 (Domain.recommended_domain_count () - 1)
+
+(* Up to [n] of the team's helpers, spawning the missing ones. A spawn
+   that fails (the runtime's cap on domains) leaves the team with the
+   helpers it already has, and the shares run on those. *)
 let helpers team n =
-  while Array.length team.helpers < n do
-    let h = { lock = Mutex.create (); wake = Condition.create (); task = Idle } in
-    let d = Domain.spawn (fun () -> run_helper h) in
-    team.helpers <- Array.append team.helpers [| (h, d) |]
-  done;
-  team.helpers
+  (try
+     while Array.length team.helpers < n do
+       let h = { lock = Mutex.create (); wake = Condition.create (); task = Idle } in
+       let d = Domain.spawn (fun () -> run_helper h) in
+       team.helpers <- Array.append team.helpers [| (h, d) |]
+     done
+   with Failure _ -> ());
+  Array.sub team.helpers 0 (min n (Array.length team.helpers))
 
 (* How one worker's share ended. Every exception is caught inside the
    share, so each helper reports back and is awaited before anything
@@ -199,97 +207,103 @@ type 'b outcome =
   | Out_of_budget of Budget.reason
   | Raised of exn * Printexc.raw_backtrace
 
-(* The one round-robin domain map. Worker j owns items j, j+k, j+2k,
-   ... — deterministic, and it interleaves neighbouring (often
-   similar-sized) cones across workers. Every worker computes directly
-   in the context's manager. Worker j's p-th result is item j + p*k, so
-   re-interleaving restores item order.
+(* The one round-robin domain map, for k > 1 workers. Worker j owns
+   items j, j+k, j+2k, ... — deterministic, and it interleaves
+   neighbouring (often similar-sized) cones across workers. Every
+   worker computes directly in the context's manager. Worker j's p-th
+   result is item j + p*k, so re-interleaving restores item order.
 
-   The calling domain runs share 0 itself and hands shares 1..k−1 to
-   its helpers. A domain blocked on a condition or in [Domain.join]
-   still takes part in every stop-the-world minor collection through
-   its backup thread, which on a machine with as many cores as workers
-   must first win a timeslice from them; measured on 2 vCPUs, 1 M
-   small allocations in each of two domains took 28–33 ms with two
-   spawned domains and an idle caller, 3.1 ms with the caller as one
-   of the two. Every share records into its own Obs state
-   ([Obs.isolated]), so nothing a helper recorded carries over to its
-   next call, and merges as "worker j+1".
+   The calling domain and its m − 1 helpers (min (k − 1) [max_helpers],
+   fewer if a spawn failed) run the k shares: domain d runs shares d,
+   d+m, d+2m, ... in turn, so the caller runs share 0. A domain blocked
+   on a condition or in [Domain.join] still takes part in every
+   stop-the-world minor collection through its backup thread, which on
+   a machine with as many cores as workers must first win a timeslice
+   from them; measured on 2 vCPUs, 1 M small allocations in each of two
+   domains took 28–33 ms with two spawned domains and an idle caller,
+   3.1 ms with the caller as one of the two. Every share records into
+   its own Obs state ([Obs.isolated]), so nothing a helper recorded
+   carries over to its next call, and merges as "worker j+1". *)
+let run_shares ctx team ~k items f =
+  let n = Array.length items in
+  let helpers = helpers team (min (k - 1) max_helpers) in
+  let m = Array.length helpers + 1 in
+  let collect = Obs.on () in
+  let share j () =
+    let chunk = Array.init (((n - j - 1) / k) + 1) (fun p -> items.(j + (p * k))) in
+    match f chunk with
+    | rs -> Done rs
+    | exception Budget.Budget_exceeded r ->
+      (* All workers tick the one shared budget: cancelling it
+         stops the team at their next poll. *)
+      Budget.cancel ctx.Ctx.budget;
+      Out_of_budget r
+    | exception e -> Raised (e, Printexc.get_raw_backtrace ())
+  in
+  (* The snapshot is exported on every path: partial work must still
+     be attributed. [run] never raises, so a helper always reports
+     back. *)
+  let run j =
+    try
+      if collect then
+        let res, snap = Obs.isolated (share j) in
+        (res, Some snap)
+      else (share j (), None)
+    with e -> (Raised (e, Printexc.get_raw_backtrace ()), None)
+  in
+  let joined = Array.make k (Done [], None) in
+  let run_from d () =
+    let j = ref d in
+    while !j < k do
+      joined.(!j) <- run !j;
+      j := !j + m
+    done
+  in
+  team.busy <- true;
+  Array.iteri (fun i (h, _) -> set_task h (Run (run_from (i + 1)))) helpers;
+  run_from 0 ();
+  Array.iter (fun (h, _) -> await h) helpers;
+  team.busy <- false;
+  (* Merge observability snapshots first, in worker order, so the
+     registry is complete and deterministic even when an error
+     propagates below. *)
+  Array.iteri
+    (fun j (_, snap) ->
+      Option.iter
+        (Obs.merge_snapshot ~label:(Printf.sprintf "worker %d" (j + 1)))
+        snap)
+    joined;
+  (* Every share has finished. A worker's own exception wins, in worker
+     order; then the root cause (the first non-Cancelled reason) if
+     any worker ran out of budget. *)
+  Array.iter
+    (function Raised (e, bt), _ -> Printexc.raise_with_backtrace e bt | _ -> ())
+    joined;
+  let errors =
+    Array.to_list joined
+    |> List.filter_map (function Out_of_budget r, _ -> Some r | _ -> None)
+  in
+  (match (List.find_opt (fun r -> r <> Budget.Cancelled) errors, errors) with
+  | Some r, _ | None, r :: _ -> raise (Budget.Budget_exceeded r)
+  | None, [] -> ());
+  let merged = Array.make n None in
+  Array.iteri
+    (fun j (res, _) ->
+      match res with
+      | Done rs -> List.iteri (fun p r -> merged.(j + (p * k)) <- Some r) rs
+      | Out_of_budget _ | Raised _ -> assert false)
+    joined;
+  Array.to_list (Array.map Option.get merged)
 
-   A call made from inside a share of the same domain finds the team
+(* A call made from inside a share of the same domain finds the team
    busy and runs [f] on the whole array itself, which gives the same
    answer. *)
 let map ctx ~jobs items f =
-  let n = Array.length items in
-  let k = min jobs n in
-  let team = Domain.DLS.get team_key in
-  if k <= 1 || team.busy then f items
-  else begin
-    let helpers = helpers team (k - 1) in
-    let collect = Obs.on () in
-    let share j () =
-      let chunk = Array.init (((n - j - 1) / k) + 1) (fun p -> items.(j + (p * k))) in
-      match f chunk with
-      | rs -> Done rs
-      | exception Budget.Budget_exceeded r ->
-        (* All workers tick the one shared budget: cancelling it
-           stops the team at their next poll. *)
-        Budget.cancel ctx.Ctx.budget;
-        Out_of_budget r
-      | exception e -> Raised (e, Printexc.get_raw_backtrace ())
-    in
-    (* The snapshot is exported on every path: partial work must still
-       be attributed. [run] never raises, so a helper always reports
-       back. *)
-    let run j =
-      try
-        if collect then
-          let res, snap = Obs.isolated (share j) in
-          (res, Some snap)
-        else (share j (), None)
-      with e -> (Raised (e, Printexc.get_raw_backtrace ()), None)
-    in
-    let joined = Array.make k (Done [], None) in
-    team.busy <- true;
-    for j = 1 to k - 1 do
-      set_task (fst helpers.(j - 1)) (Run (fun () -> joined.(j) <- run j))
-    done;
-    joined.(0) <- run 0;
-    for j = 1 to k - 1 do
-      await (fst helpers.(j - 1))
-    done;
-    team.busy <- false;
-    (* Merge observability snapshots first, in worker order, so the
-       registry is complete and deterministic even when an error
-       propagates below. *)
-    Array.iteri
-      (fun j (_, snap) ->
-        Option.iter
-          (Obs.merge_snapshot ~label:(Printf.sprintf "worker %d" (j + 1)))
-          snap)
-      joined;
-    (* Every share has finished. A worker's own exception wins, in worker
-       order; then the root cause (the first non-Cancelled reason) if
-       any worker ran out of budget. *)
-    Array.iter
-      (function Raised (e, bt), _ -> Printexc.raise_with_backtrace e bt | _ -> ())
-      joined;
-    let errors =
-      Array.to_list joined
-      |> List.filter_map (function Out_of_budget r, _ -> Some r | _ -> None)
-    in
-    (match (List.find_opt (fun r -> r <> Budget.Cancelled) errors, errors) with
-    | Some r, _ | None, r :: _ -> raise (Budget.Budget_exceeded r)
-    | None, [] -> ());
-    let merged = Array.make n None in
-    Array.iteri
-      (fun j (res, _) ->
-        match res with
-        | Done rs -> List.iteri (fun p r -> merged.(j + (p * k)) <- Some r) rs
-        | Out_of_budget _ | Raised _ -> assert false)
-      joined;
-    Array.to_list (Array.map Option.get merged)
-  end
+  let k = min jobs (Array.length items) in
+  if k <= 1 then f items
+  else
+    let team = Domain.DLS.get team_key in
+    if team.busy then f items else run_shares ctx team ~k items f
 
 (* Per-output Σ of [outputs] on [jobs] workers. Short-path workers
    share one team memo (striped and locked when more than one worker

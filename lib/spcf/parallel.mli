@@ -47,11 +47,15 @@ val map : Ctx.t -> jobs:int -> 'a array -> ('a array -> 'b list) -> 'b list
     are re-interleaved into item order, so the answer is the same list
     for every [jobs]. With [k <= 1] this is a direct call of [f] on the
     whole array. Otherwise the calling domain runs worker 0's chunk
-    itself and hands the other [k - 1] chunks to its helper domains:
-    each calling domain spawns its helpers on first need, up to the
-    largest [k - 1] it has asked for, reuses them on every later call,
-    and stops and joins them when it exits ([Domain.at_exit]). A call
-    made from inside one of its own shares runs [f] on the whole array.
+    itself and hands the other chunks to its helper domains: each
+    calling domain spawns its helpers on first need, up to
+    [min (k - 1) h] with [h = max 1 (Domain.recommended_domain_count ()
+    - 1)], reuses them on every later call, and stops and joins them
+    when it exits ([Domain.at_exit]). With [m - 1] helpers, domain [d]
+    runs chunks [d, d+m, d+2m, ...] in turn; a spawn that fails (the
+    runtime's cap on domains) leaves the chunks to the domains the
+    team already has. A call made from inside one of its own shares
+    runs [f] on the whole array.
 
     A worker that raises [Budget.Budget_exceeded] cancels
     [ctx.budget], so its team-mates stop at their next poll. Every

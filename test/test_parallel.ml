@@ -379,20 +379,54 @@ let test_nested_map () =
   check "outer = jobs 1" true (outer = squares items);
   check "inner = jobs 1" true (!inner = squares items)
 
-(* Fifty short-lived domains, one after another, each call a jobs-4
-   map and exit. Each owner's exit joins its three helpers; a leaked
-   helper would stay parked, and the 150 of them would pass the
-   runtime's cap of 128 domains. *)
+(* A hundred and thirty short-lived domains, one after another, each
+   call a jobs-4 map and exit. Each owner spawns at least one helper,
+   so its map runs on [min 4 (max 2 cores)] domains, and its exit joins
+   them. A leaked helper would stay parked; past the runtime's cap of
+   128 domains a later owner could spawn none and would run its map
+   alone. *)
 let test_owner_exit_joins () =
   let ctx = Spcf.Ctx.create (Mapper.map (Suite.load "cmb")) in
   let items = Array.init 8 Fun.id in
   let expected = squares items in
-  for i = 1 to 50 do
+  let domains = min 4 (max 2 (Domain.recommended_domain_count ())) in
+  for i = 1 to 130 do
     let got =
-      Domain.join (Domain.spawn (fun () -> Spcf.Parallel.map ctx ~jobs:4 items squares))
+      Domain.join
+        (Domain.spawn (fun () ->
+             Spcf.Parallel.map ctx ~jobs:4 items (fun chunk ->
+                 List.map (fun x -> (x * x, self_id ())) (Array.to_list chunk))))
     in
-    check (Printf.sprintf "owner %d: results" i) true (got = expected)
+    check (Printf.sprintf "owner %d: results" i) true (List.map fst got = expected);
+    check_int
+      (Printf.sprintf "owner %d: domains" i)
+      domains
+      (List.length (List.sort_uniq compare (List.map snd got)))
   done;
+  check_int "a domain still spawns" 1 (Domain.join (Domain.spawn (fun () -> 1)))
+
+(* A team keeps at most one helper per core beyond its owner (and at
+   least one): a jobs-64 map runs its 64 shares on at most that many
+   domains, still gives the jobs-1 answer, and leaves room for another
+   domain's jobs-64 map and a spawn. Kept helpers up to k − 1 would
+   leave 63 domains parked in the caller. *)
+let test_helpers_bounded () =
+  let ctx = Spcf.Ctx.create (Mapper.map (Suite.load "cmb")) in
+  let items = Array.init 64 Fun.id in
+  let at_most = max 2 (Domain.recommended_domain_count ()) in
+  let where () =
+    Spcf.Parallel.map ctx ~jobs:64 items (fun chunk ->
+        List.map (fun i -> (i * i, self_id ())) (Array.to_list chunk))
+  in
+  let check_run what rs =
+    check (what ^ ": results") true (List.map fst rs = squares items);
+    check
+      (Printf.sprintf "%s: at most %d domains" what at_most)
+      true
+      (List.length (List.sort_uniq compare (List.map snd rs)) <= at_most)
+  in
+  check_run "caller" (where ());
+  check_run "second owner" (Domain.join (Domain.spawn where));
   check_int "a domain still spawns" 1 (Domain.join (Domain.spawn (fun () -> 1)))
 
 (* Twenty traced jobs-2 runs into one registry, never reset: each run
@@ -561,6 +595,8 @@ let () =
             test_raise_keeps_team;
           Alcotest.test_case "a nested map runs on its caller" `Quick test_nested_map;
           Alcotest.test_case "owner exit joins its helpers" `Quick test_owner_exit_joins;
+          Alcotest.test_case "a team keeps at most one helper per core" `Quick
+            test_helpers_bounded;
         ] );
       ( "observability",
         [
