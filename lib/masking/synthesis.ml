@@ -253,9 +253,12 @@ let synthesize_body options net ~budget ~tier ~attempts =
         let fanin_bdds = Array.map funcs_net nd.Network.fanins in
         let fanins_t = Array.map (fun f -> ntilde.(f)) nd.Network.fanins in
         let on = nd.Network.func in
-        let off = Logic2.Cover.complement on in
-        let n1 = select_cubes ~man ~order:options.cube_order ~sigma ~fanin_bdds on in
-        let n0 = select_cubes ~man ~order:options.cube_order ~sigma ~fanin_bdds off in
+        let off = Obs.with_span "complement" (fun () -> Logic2.Cover.complement on) in
+        let n1, n0 =
+          Obs.with_span "cube-selection" (fun () ->
+              let select = select_cubes ~man ~order:options.cube_order ~sigma ~fanin_bdds in
+              (select on, select off))
+        in
         ntilde.(s) <-
           Network.add_node tnet ("t_" ^ Network.name_of net s) ~fanins:fanins_t ~func:n1;
         if options.indicator = Structural then begin
@@ -265,7 +268,8 @@ let synthesize_body options net ~budget ~tier ~attempts =
           in
           let e_cover =
             if options.simplify_e then
-              select_cubes ~man ~order:Ascending ~sigma ~fanin_bdds e_cover
+              Obs.with_span "cube-selection" (fun () ->
+                  select_cubes ~man ~order:Ascending ~sigma ~fanin_bdds e_cover)
             else e_cover
           in
           if not (Logic2.Cover.is_tautology e_cover) then
@@ -362,10 +366,14 @@ let synthesize_body options net ~budget ~tier ~attempts =
   Obs.enter "optimize+map";
   let candidates =
     if options.optimize then begin
-      let base = [ Netopt.optimize ~limits:gentle ~collapse:false tnet ] in
+      let base =
+        [ Obs.with_span "netopt" (fun () -> Netopt.optimize ~limits:gentle ~collapse:false tnet) ]
+      in
       let base =
         if options.collapse then
-          Netopt.optimize ~limits:gentle ~collapse:true tnet :: base
+          Obs.with_span "netopt-collapse" (fun () ->
+              Netopt.optimize ~limits:gentle ~collapse:true tnet)
+          :: base
         else base
       in
       match (if outputs_meta = [] then None else flat_variant ()) with
@@ -376,7 +384,7 @@ let synthesize_body options net ~budget ~tier ~attempts =
   in
   let slack_goal = 0.8 *. delta in
   let score mc =
-    let d = Sta.delta (Sta.analyze ~model:options.delay_model mc) in
+    let d = Obs.with_span "sta" (fun () -> Sta.delta (Sta.analyze ~model:options.delay_model mc)) in
     let meets = d <= slack_goal in
     (* Lexicographic: meeting the slack target first, then area for
        those that meet it, then raw delay. *)
@@ -384,7 +392,8 @@ let synthesize_body options net ~budget ~tier ~attempts =
   in
   let masking_net, masking =
     match
-      List.map (fun n -> (n, Mapper.map ~style:options.map_style n)) candidates
+      Obs.with_span "map" (fun () ->
+          List.map (fun n -> (n, Mapper.map ~style:options.map_style n)) candidates)
     with
     | [] -> assert false
     | first :: rest ->
