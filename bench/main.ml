@@ -12,15 +12,17 @@
      dune exec bench/main.exe -- --json --quick          # two small circuits
      dune exec bench/main.exe -- --json --quick \
          --against BENCH_table1.json --against BENCH_table2.json
-                                            # fail (exit 1) on >3x regression
+                                            # fail (exit 1) on any counter
+                                            # drift or a >3x regression
 
    Every case separates *setup* (circuit generation, technology mapping)
    from the *measured closure* (the algorithm under benchmark): setup
    runs once when the case is selected, never inside the staged
    function. The JSON baselines record name -> ns/run (monotonic clock,
    OLS on run count) plus the Obs counters (BDD node/cache statistics)
-   of one instrumented run, giving future PRs a perf trajectory that is
-   diffable in review. *)
+   of one instrumented run. Every case but the [-jobs4] twins runs on
+   one domain, so its counters are deterministic and [--against] gates
+   them exactly; wall time keeps only a 3x noise backstop. *)
 
 open Bechamel
 open Toolkit
@@ -100,8 +102,11 @@ let synthesis_case circuit_name =
     prepare =
       (fun () ->
         let net = Suite.load circuit_name in
+        (* One SPCF domain, whatever EMASK_JOBS or the host says, so the
+           counters are deterministic. *)
+        let options = { Masking.Synthesis.default_options with jobs = 1 } in
         fun () ->
-          let m = Masking.Synthesis.synthesize net in
+          let m = Masking.Synthesis.synthesize ~options net in
           let r = Masking.Verify.check ~power_rounds:32 m in
           ignore (Sys.opaque_identity r.Masking.Verify.area_overhead_pct));
   }
@@ -412,14 +417,20 @@ let measure cfg (c : case) =
   (c.cname, estimate, fn)
 
 (* One instrumented (unmeasured) run to attach BDD/SPCF counters to a
-   JSON baseline entry. Obs stays exactly as it was afterwards. *)
+   JSON baseline entry. It runs on a fresh domain: the per-domain
+   computed cache keeps the size an earlier case grew it to, so on the
+   calling domain the counts would depend on which cases ran before
+   (a --quick run against a full baseline). The calling domain's Obs
+   state is left as it was. *)
 let counters_of fn =
   let was_on = Obs.on () in
   Obs.set_enabled true;
-  Obs.reset ();
-  fn ();
-  let counters = Obs.registered_counters () in
-  Obs.reset ();
+  let counters =
+    Domain.join
+      (Domain.spawn (fun () ->
+           fn ();
+           Obs.registered_counters ()))
+  in
   Obs.set_enabled was_on;
   counters
 
@@ -457,7 +468,7 @@ let write_json path v =
   close_out oc;
   Printf.printf "baseline written to %s\n%!" path
 
-(* name -> ns/run of a previously written baseline file. *)
+(* name -> (ns/run, counters) of a previously written baseline file. *)
 let load_baseline path =
   let ic = open_in path in
   let len = in_channel_length ic in
@@ -470,35 +481,63 @@ let load_baseline path =
     | Some (Obs_json.Obj fields) ->
       List.filter_map
         (fun (name, entry) ->
+          let counters =
+            match Obs_json.member "counters" entry with
+            | Some (Obs_json.Obj cs) ->
+              List.filter_map
+                (function k, Obs_json.Int v -> Some (k, v) | _ -> None)
+                cs
+            | _ -> []
+          in
           match Obs_json.member "ns_per_run" entry with
-          | Some (Obs_json.Float ns) -> Some (name, ns)
-          | Some (Obs_json.Int ns) -> Some (name, float_of_int ns)
+          | Some (Obs_json.Float ns) -> Some (name, (ns, counters))
+          | Some (Obs_json.Int ns) -> Some (name, (float_of_int ns, counters))
           | _ -> None)
         fields
     | _ -> failwith (sprintf "%s: no results object" path))
 
 let regression_factor = 3.0
 
+(* The [-jobs4] twins split work over domains, so their counters vary
+   with scheduling; every other case runs on one domain. *)
+let exact_counters name = not (String.ends_with ~suffix:"-jobs4" name)
+
+(* Counters whose value differs between [base] and [now], a counter
+   missing on one side reading as 0. *)
+let counter_drift ~base now =
+  let keys = List.sort_uniq compare (List.map fst base @ List.map fst now) in
+  let value l k = Option.value ~default:0 (List.assoc_opt k l) in
+  List.filter_map
+    (fun k ->
+      let b = value base k and n = value now k in
+      if b <> n then Some (k, b, n) else None)
+    keys
+
 let check_regressions ~baselines results =
-  let failures = ref [] in
+  let failures = ref 0 in
   List.iter
-    (fun (name, ns, _) ->
+    (fun (name, ns, counters) ->
       match List.assoc_opt name baselines with
-      | Some base when base > 0. && ns > base *. regression_factor ->
-        failures := (name, ns /. base) :: !failures
-      | _ -> ())
+      | None -> ()
+      | Some (base_ns, base_counters) ->
+        if base_ns > 0. && ns > base_ns *. regression_factor then begin
+          incr failures;
+          Printf.printf "REGRESSION %-48s %.2fx over baseline\n" name (ns /. base_ns)
+        end;
+        if exact_counters name then
+          List.iter
+            (fun (k, b, n) ->
+              incr failures;
+              Printf.printf "COUNTER DRIFT %-48s %s: %d -> %d\n" name k b n)
+            (counter_drift ~base:base_counters counters))
     results;
-  match !failures with
-  | [] ->
-    Printf.printf "regression check: ok (%d cases within %.1fx of baseline)\n"
+  if !failures = 0 then begin
+    Printf.printf
+      "regression check: ok (%d cases; jobs-1 counters exact, time within %.1fx)\n"
       (List.length results) regression_factor;
     true
-  | fs ->
-    List.iter
-      (fun (name, ratio) ->
-        Printf.printf "REGRESSION %-48s %.2fx over baseline\n" name ratio)
-      (List.rev fs);
-    false
+  end
+  else false
 
 let run json quick againsts filter =
   (* Baselines are loaded before any BENCH_*.json is rewritten, so
@@ -516,19 +555,24 @@ let run json quick againsts filter =
   Printf.printf "%-48s %15s\n" "benchmark" "time";
   Printf.printf "%s\n" (String.make 66 '-');
   let all_results = ref [] in
+  (* A case gets its counters when they are written or gated. *)
   let run_group cases =
-    let measured = List.map (measure cfg) (select cases) in
+    let measured =
+      List.map
+        (fun c ->
+          let name, ns, fn = measure cfg c in
+          let counted = json || List.mem_assoc name baselines in
+          (name, ns, if counted then counters_of fn else []))
+        (select cases)
+    in
     all_results := !all_results @ measured;
     measured
   in
   if json then begin
-    let with_counters measured =
-      List.map (fun (name, ns, fn) -> (name, ns, counters_of fn)) measured
-    in
-    let t1 = with_counters (run_group (table1_cases ~quick)) in
-    let t2 = with_counters (run_group (table2_cases ~quick)) in
-    let tp = with_counters (run_group (paths_cases ~quick)) in
-    let teco = with_counters (run_group (eco_cases ~quick)) in
+    let t1 = run_group (table1_cases ~quick) in
+    let t2 = run_group (table2_cases ~quick) in
+    let tp = run_group (paths_cases ~quick) in
+    let teco = run_group (eco_cases ~quick) in
     write_json "BENCH_table1.json" (json_of_results ~quick (t1 @ tp @ teco));
     write_json "BENCH_table2.json" (json_of_results ~quick t2)
   end
@@ -576,8 +620,9 @@ let () =
       value & opt_all file []
       & info [ "against" ] ~docv:"FILE"
           ~doc:
-            "Baseline BENCH_*.json (repeatable); exit 1 on a >3x per-case \
-             regression.")
+            "Baseline BENCH_*.json (repeatable); exit 1 when a case's \
+             counters drift (all but the -jobs4 twins) or its time \
+             regresses more than 3x.")
   in
   let filter =
     Arg.(
