@@ -38,7 +38,7 @@ let () =
 
   (* Prediction and indicator functions of the masking circuit. *)
   let cnet = Mapped.network m.Masking.Synthesis.combined in
-  let cf = Masking.Synthesis.bdds_in_man man cnet in
+  let cf = Network.elaborate man cnet in
   let show name f =
     Format.printf "%s = %s@." name
       (Logic2.Cover.to_string ~names:name_of (Isop.of_bdd man f))

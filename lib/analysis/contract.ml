@@ -56,7 +56,7 @@ let check_mux_insertion (m : Synthesis.t) =
 let elaborate_pair (m : Synthesis.t) =
   let ctx = m.Synthesis.ctx in
   let man = ctx.Spcf.Ctx.man in
-  let cf = Synthesis.bdds_in_man man (Mapped.network m.Synthesis.combined) in
+  let cf = Network.elaborate man (Mapped.network m.Synthesis.combined) in
   (man, cf, ctx.Spcf.Ctx.funcs)
 
 let is_err_output name =

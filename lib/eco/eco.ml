@@ -455,29 +455,24 @@ let recompute ?(jobs = 1) t edits =
   let net = Mapped.network circuit in
   let man = t.ctx.Spcf.Ctx.man in
   let sta = Sta.analyze ~model circuit in
-  let npi = num_pis d1 in
   let old_nsig = Array.length t.sig_of in
   (* Node functions: a clean signal that existed before keeps its BDD
-     handle; only the dirty cone (and fresh slots) rebuilds, in the
-     same signal order [Network.to_bdds] uses. *)
-  let funcs = Array.make (Network.num_signals net) Bdd.bfalse in
+     handle; only the dirty cone (and fresh slots) rebuilds. *)
+  let design_of = Array.make (Network.num_signals net) (-1) in
+  Array.iteri (fun s n' -> if n' >= 0 then design_of.(n') <- s) sig_of;
   let funcs_reused = ref 0 and funcs_rebuilt = ref 0 in
-  for s = 0 to num_signals d1 - 1 do
-    if live d1 s then begin
-      let n' = sig_of.(s) in
-      if s < npi then funcs.(n') <- Bdd.var man s
-      else if (not dirty.(s)) && s < old_nsig && live d0 s then begin
-        funcs.(n') <- t.ctx.Spcf.Ctx.funcs.(t.sig_of.(s));
-        incr funcs_reused
-      end
-      else begin
-        let nd = Option.get (Network.node_of net n') in
-        let local = Array.map (fun f -> funcs.(f)) nd.Network.fanins in
-        funcs.(n') <- Bdd.cover_with man nd.Network.func local;
-        incr funcs_rebuilt
-      end
+  let reuse n' =
+    let s = design_of.(n') in
+    if (not dirty.(s)) && s < old_nsig && live d0 s then begin
+      incr funcs_reused;
+      Some t.ctx.Spcf.Ctx.funcs.(t.sig_of.(s))
     end
-  done;
+    else begin
+      incr funcs_rebuilt;
+      None
+    end
+  in
+  let funcs = Network.elaborate ~reuse man net in
   let ctx =
     Spcf.Ctx.of_funcs ~model ~sta ~budget:t.ctx.Spcf.Ctx.budget circuit man funcs
   in

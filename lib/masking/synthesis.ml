@@ -118,20 +118,6 @@ let select_cubes ~man ~order ~sigma ~fanin_bdds cover =
   in
   Logic2.Cover.of_cubes (Logic2.Cover.num_vars cover) keep
 
-(* BDDs of every signal of [net] inside an existing manager whose
-   variable i is the i-th primary input (input orders must agree). *)
-let bdds_in_man man net =
-  let f = Array.make (Network.num_signals net) Bdd.bfalse in
-  Array.iteri (fun i s -> f.(s) <- Bdd.var man i) (Network.inputs net);
-  Array.iter
-    (fun s ->
-      match Network.node_of net s with
-      | None -> ()
-      | Some nd ->
-        f.(s) <- Bdd.cover_with man nd.Network.func (Array.map (fun x -> f.(x)) nd.Network.fanins))
-    (Network.topo_order net);
-  f
-
 let tautology_cover_1 =
   Logic2.Cover.of_cubes 1
     [ Logic2.Cube.make 1 [ (0, true) ]; Logic2.Cube.make 1 [ (0, false) ] ]
@@ -282,7 +268,7 @@ let synthesize_body options net ~budget ~tier ~attempts =
     (Network.topo_order net);
   Obs.leave ();
   (* Prediction BDDs, for the direct indicator's correctness region. *)
-  let tnet_funcs = lazy (bdds_in_man man tnet) in
+  let tnet_funcs = lazy (Network.elaborate man tnet) in
   let t_inputs = Network.inputs tnet in
   Obs.enter "indicators";
   let outputs_meta =

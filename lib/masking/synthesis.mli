@@ -95,6 +95,3 @@ val select_cubes :
   Logic2.Cover.t
 (** Greedy essential-weight cube selection (exposed for tests). *)
 
-val bdds_in_man : Bdd.man -> Network.t -> Bdd.t array
-(** Elaborate a network's signals in an existing manager (input orders
-    must agree); exposed for verification code. *)

@@ -32,7 +32,7 @@ let analyze (m : Synthesis.t) =
   (* hold = OR over critical outputs of e_y, evaluated on the combined
      circuit's BDDs (the e signals of the masking circuit). *)
   let cnet = Mapped.network m.Synthesis.combined in
-  let cf = Synthesis.bdds_in_man man cnet in
+  let cf = Network.elaborate man cnet in
   let hold =
     List.fold_left
       (fun acc (po : Synthesis.per_output) ->
@@ -63,7 +63,7 @@ let validate ?(samples = 2000) ?(seed = 77) (m : Synthesis.t) =
   let ctx = m.Synthesis.ctx in
   let man = ctx.Spcf.Ctx.man in
   let cnet = Mapped.network m.Synthesis.combined in
-  let cf = Synthesis.bdds_in_man man cnet in
+  let cf = Network.elaborate man cnet in
   let target_units = Spcf.Ctx.units_of_target m.Synthesis.target in
   let n_in = Bdd.nvars man in
   let rng = Util.Rng.create seed in

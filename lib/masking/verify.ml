@@ -36,7 +36,7 @@ let check ?(power_rounds = 128) (m : Synthesis.t) =
      order match the original network's by construction. The original
      circuit's functions are the context's own. *)
   let cnet = Mapped.network m.Synthesis.combined in
-  let cf = Obs.with_span "elaborate" (fun () -> Synthesis.bdds_in_man man cnet) in
+  let cf = Obs.with_span "elaborate" (fun () -> Network.elaborate man cnet) in
   let of_ = ctx.Spcf.Ctx.funcs in
   let onet = Mapped.network m.Synthesis.original in
   let orig_out name =

@@ -149,23 +149,32 @@ let eval_outputs t pi_values =
   let value = eval t pi_values in
   Array.map (fun (_, s) -> value.(s)) (outputs t)
 
-(* Global BDDs for every signal; BDD variable i is the i-th primary
-   input. Domain workers can keep growing the same DAG afterwards. *)
-let to_bdds ?(budget = Budget.unlimited) t =
-  let ins = inputs t in
-  let nvars = Array.length ins in
-  let man = Bdd.create ~nvars () in
-  Bdd.set_budget man budget;
+(* Global BDDs for every signal inside [man]. [pis.(i)] is the function
+   of the i-th primary input (default: BDD variable i); [reuse s] may
+   hand back a handle already known for gate [s]. The inputs come
+   first, then the gates in construction order (a topological order),
+   so every caller builds the same nodes in the same order. *)
+let elaborate ?inputs:pis ?(reuse = fun _ -> None) man t =
   let f = Array.make t.count Bdd.bfalse in
-  Array.iteri (fun i s -> f.(s) <- Bdd.var man i) ins;
+  Array.iteri
+    (fun i s -> f.(s) <- (match pis with Some a -> a.(i) | None -> Bdd.var man i))
+    (inputs t);
   for s = 0 to t.count - 1 do
     match t.def.(s) with
     | None -> ()
-    | Some n ->
-      let local = Array.map (fun x -> f.(x)) n.fanins in
-      f.(s) <- Bdd.cover_with man n.func local
+    | Some n -> (
+      match reuse s with
+      | Some h -> f.(s) <- h
+      | None -> f.(s) <- Bdd.cover_with man n.func (Array.map (fun x -> f.(x)) n.fanins))
   done;
-  (man, f)
+  f
+
+(* Elaboration into a fresh manager; domain workers can keep growing
+   the same DAG afterwards. *)
+let to_bdds ?(budget = Budget.unlimited) t =
+  let man = Bdd.create ~nvars:(Array.length (inputs t)) () in
+  Bdd.set_budget man budget;
+  (man, elaborate man t)
 
 (* A fresh network containing only the transitive fanin cones of the
    requested outputs (named subset of this network's outputs). *)
@@ -208,18 +217,8 @@ let equivalent a b =
     let var_of_name = Hashtbl.create 16 in
     Array.iteri (fun i n -> Hashtbl.replace var_of_name n i) a_ins;
     let bdds_of net =
-      let f = Array.make (num_signals net) Bdd.bfalse in
-      Array.iter
-        (fun s -> f.(s) <- Bdd.var man (Hashtbl.find var_of_name (name_of net s)))
-        (inputs net);
-      Array.iter
-        (fun s ->
-          match node_of net s with
-          | None -> ()
-          | Some n ->
-            f.(s) <- Bdd.cover_with man n.func (Array.map (fun x -> f.(x)) n.fanins))
-        (topo_order net);
-      f
+      let by_name s = Bdd.var man (Hashtbl.find var_of_name (name_of net s)) in
+      elaborate ~inputs:(Array.map by_name (inputs net)) man net
     in
     let fa = bdds_of a and fb = bdds_of b in
     let outs_a = outputs a and outs_b = outputs b in

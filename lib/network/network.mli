@@ -42,9 +42,18 @@ val eval : t -> bool array -> bool array
 
 val eval_outputs : t -> bool array -> bool array
 
+val elaborate :
+  ?inputs:Bdd.t array -> ?reuse:(signal -> Bdd.t option) -> Bdd.man -> t -> Bdd.t array
+(** Global BDDs per signal inside [man]: [inputs.(i)] is the function of
+    the i-th primary input (default: BDD variable [i]), and [reuse s]
+    may return a handle already known for gate [s] (default: none), which
+    is then used instead of rebuilding it. Inputs are visited first, then
+    gates in construction order, so equal calls build equal nodes in the
+    same order. *)
+
 val to_bdds : ?budget:Budget.t -> t -> Bdd.man * Bdd.t array
-(** Global BDDs per signal; BDD variable [i] is the i-th primary input.
-    The fresh manager is governed by [budget] (default
+(** [elaborate] into a fresh manager whose variable [i] is the i-th
+    primary input. The manager is governed by [budget] (default
     [Budget.unlimited]): construction itself can raise
     [Budget.Budget_exceeded] on adversarial cone blow-up. Domain
     workers can keep growing the manager afterwards. *)
