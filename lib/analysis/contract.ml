@@ -59,9 +59,6 @@ let elaborate_pair (m : Synthesis.t) =
   let cf = Network.elaborate man (Mapped.network m.Synthesis.combined) in
   (man, cf, ctx.Spcf.Ctx.funcs)
 
-let is_err_output name =
-  String.length name >= 5 && String.sub name (String.length name - 5) 5 = "__err"
-
 let check_non_intrusive (m : Synthesis.t) =
   run_pass "non-intrusive"
     (fun (m : Synthesis.t) ->
@@ -73,7 +70,7 @@ let check_non_intrusive (m : Synthesis.t) =
   in
   Array.to_list (Network.outputs (Mapped.network m.Synthesis.combined))
   |> List.filter_map (fun (name, s) ->
-         if is_err_output name then None
+         if Synthesis.is_err_output name then None
          else
            match orig name with
            | None ->

@@ -55,6 +55,11 @@ let default_options =
     budget = Budget.no_limits;
   }
 
+(* With [log_errors], output [y]'s error log is the combined circuit's
+   output [y ^ err_suffix]. *)
+let err_suffix = "__err"
+let is_err_output name = String.ends_with ~suffix:err_suffix name
+
 type per_output = {
   name : string;
   tier : Spcf.Governed.tier; (* which ladder tier produced this output *)
@@ -383,9 +388,14 @@ let synthesize_body options net ~budget ~tier ~attempts =
     with
     | [] -> assert false
     | first :: rest ->
-      List.fold_left
-        (fun (bn, bm) (n, mc) -> if score mc < score bm then (n, mc) else (bn, bm))
-        first rest
+      (* Each candidate is scored once; a tie keeps the earlier one. *)
+      let scored (n, mc) = (score mc, (n, mc)) in
+      snd
+        (List.fold_left
+           (fun (bs, b) c ->
+             let s, c = scored c in
+             if s < bs then (s, c) else (bs, b))
+           (scored first) rest)
   in
   Obs.leave ();
   (* Combined circuit: C, C̃ and the output muxes. *)
@@ -420,7 +430,7 @@ let synthesize_body options net ~budget ~tier ~attempts =
           if options.log_errors then begin
             let x = Mapped.add_gate combined Cell.eo [| y_cmb; yt |] in
             let err = Mapped.add_gate combined Cell.an2 [| e; x |] in
-            Mapped.mark_output combined ~name:(name ^ "__err") err;
+            Mapped.mark_output combined ~name:(name ^ err_suffix) err;
             Some err
           end
           else None

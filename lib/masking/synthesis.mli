@@ -79,6 +79,10 @@ type t = {
           (empty unless [prune_false_paths] was set) *)
 }
 
+val is_err_output : string -> bool
+(** Whether a combined-circuit output name is an error log (the
+    e·(y⊕ỹ) output [log_errors] adds beside output [y]). *)
+
 val synthesize : ?options:options -> Network.t -> t
 (** Never raises [Budget.Budget_exceeded]: the always-on floor tier
     runs ungoverned and always completes, with Σ = 1 preserving every

@@ -48,11 +48,7 @@ let check ?(power_rounds = 128) (m : Synthesis.t) =
   let equivalent =
     Obs.with_span "equivalence" @@ fun () ->
     Array.for_all
-      (fun (name, s) ->
-        match String.index_opt name '_' with
-        | _ when String.length name >= 5 && String.sub name (String.length name - 5) 5 = "__err"
-          -> true
-        | _ -> cf.(s) = orig_out name)
+      (fun (name, s) -> Synthesis.is_err_output name || cf.(s) = orig_out name)
       (Network.outputs cnet)
   in
   (* Coverage and prediction checks per critical output. *)

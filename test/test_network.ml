@@ -90,6 +90,57 @@ let test_equivalence () =
   Network.mark_output net3 ~name:"g" ab;
   check "mutant differs" false (Network.equivalent net net3)
 
+(* The reference network with its inputs declared in [order]; input
+   "a" is called [a_name]. *)
+let build_reordered ?(a_name = "a") order =
+  let net = Network.create () in
+  let pis =
+    List.map (fun n -> (n, Network.add_input net (if n = "a" then a_name else n))) order
+  in
+  let pi n = List.assoc n pis in
+  let ab = Network.add_node net "ab" ~fanins:[| pi "a"; pi "b" |] ~func:and2 in
+  let cd = Network.add_node net "cd" ~fanins:[| pi "c"; pi "d" |] ~func:or2 in
+  let ncd = Network.add_node net "ncd" ~fanins:[| cd |] ~func:inv1 in
+  let f = Network.add_node net "f" ~fanins:[| ab; ncd |] ~func:xor2 in
+  Network.mark_output net ~name:"f" f;
+  Network.mark_output net ~name:"g" ab;
+  net
+
+(* Inputs match by name, not by position: reversing the declaration
+   order keeps the networks equivalent (matching by position would
+   compare (d&c)^!(b|a) against (a&b)^!(c|d)), and renaming one input
+   breaks it. *)
+let test_equivalence_by_input_name () =
+  let net = build_reference () in
+  let reversed = build_reordered [ "d"; "c"; "b"; "a" ] in
+  check "reordered inputs equivalent" true (Network.equivalent net reversed);
+  check "symmetric" true (Network.equivalent reversed net);
+  let renamed = build_reordered ~a_name:"z" [ "a"; "b"; "c"; "d" ] in
+  check "renamed input differs" false (Network.equivalent net renamed)
+
+(* Elaborating again with [reuse] fed the earlier handles returns those
+   handles and adds no node; a handle [reuse] supplies is what the
+   gate's fanouts are built from. *)
+let test_elaborate_reuse () =
+  let net = build_reference () in
+  let man, f = Network.to_bdds net in
+  let nodes = Bdd.num_nodes man in
+  let asked = ref 0 in
+  let reuse s =
+    incr asked;
+    Some f.(s)
+  in
+  let f' = Network.elaborate ~reuse man net in
+  check "handles physically equal" true (Array.for_all2 ( == ) f f');
+  check_int "no node added" nodes (Bdd.num_nodes man);
+  check_int "asked once per gate" (Network.num_nodes net) !asked;
+  let cd = Option.get (Network.find net "cd") in
+  let ncd = Option.get (Network.find net "ncd") in
+  let g =
+    Network.elaborate ~reuse:(fun s -> if s = cd then Some Bdd.btrue else None) man net
+  in
+  check "reused handle feeds fanouts" true (g.(ncd) = Bdd.bfalse)
+
 let test_blif_roundtrip () =
   let net = build_reference () in
   let text = Blif.to_string ~model:"ref" net in
@@ -252,6 +303,9 @@ let () =
           Alcotest.test_case "cone" `Quick test_network_cone;
           Alcotest.test_case "extract_cone" `Quick test_extract_cone;
           Alcotest.test_case "equivalence" `Quick test_equivalence;
+          Alcotest.test_case "equivalence by input name" `Quick
+            test_equivalence_by_input_name;
+          Alcotest.test_case "elaborate reuse" `Quick test_elaborate_reuse;
         ] );
       ( "blif",
         [
