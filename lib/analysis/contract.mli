@@ -13,9 +13,6 @@
       critical path delay is at most [(1 - slack_margin) · Δ(C)]
       (Sec. 4: at least 20 % faster than C). *)
 
-val slack_margin : float
-(** The paper's required slack margin, [0.2]. *)
-
 val check_mux_insertion : Masking.Synthesis.t -> Diag.t list
 val check_non_intrusive : Masking.Synthesis.t -> Diag.t list
 val check_indicator_soundness : Masking.Synthesis.t -> Diag.t list

@@ -27,8 +27,6 @@
 type severity = Info | Warning | Error
 
 val severity_to_string : severity -> string
-val severity_order : severity -> int
-(** [Info] < [Warning] < [Error]. *)
 
 type code =
   | Parse_error
@@ -87,7 +85,6 @@ val sort : t list -> t list
 
 val count : severity -> t list -> int
 val errors : t list -> t list
-val max_severity : t list -> severity option
 
 val exit_code : ?fail_on:severity -> t list -> int
 (** The CLI exit-code policy: [2] if any error; [1] if [fail_on] is

@@ -563,13 +563,8 @@ let nvar man v =
 
 let bnot _man f = f lxor 1
 let bor man f g = band man (f lxor 1) (g lxor 1) lxor 1
-let bnand man f g = band man f g lxor 1
-let bnor man f g = band man (f lxor 1) (g lxor 1)
 let bxnor man f g = bxor man f g lxor 1
 let bimply man f g = band man f (g lxor 1) lxor 1
-
-let band_list man = List.fold_left (band man) btrue
-let bor_list man = List.fold_left (bor man) bfalse
 
 let rec eval man f assignment =
   if f = btrue then true
@@ -664,18 +659,6 @@ let satcount man f =
   in
   if f = bfalse then Extfloat.zero else Extfloat.mul_pow2 (count f) (ivar man f)
 
-(* One satisfying (partial) assignment as (var, value) literals. *)
-let any_sat man f =
-  if f = bfalse then None
-  else begin
-    let rec descend n acc =
-      if n = btrue then acc
-      else if ihigh man n <> bfalse then descend (ihigh man n) ((ivar man n, true) :: acc)
-      else descend (ilow man n) ((ivar man n, false) :: acc)
-    in
-    Some (List.rev (descend f []))
-  end
-
 (* Uniformly sample a full minterm of f, weighting branch choice by
    satcount. [rand_float ()] must be uniform in [0,1). *)
 let sample_sat man f ~rand_float =
@@ -730,8 +713,6 @@ let exists man vars f =
   in
   ex f
 
-let forall man vars f = bnot man (exists man vars (bnot man f))
-
 (* Restrict variable v to a constant. *)
 let restrict man f v value =
   let memo = Hashtbl.create 64 in
@@ -745,23 +726,6 @@ let restrict man f v value =
           if ivar man n = v then if value then ihigh man n else ilow man n
           else mk man (ivar man n) (go (ilow man n)) (go (ihigh man n))
         in
-        Hashtbl.add memo n r;
-        r
-  in
-  go f
-
-(* Simultaneous substitution: variable i is replaced by subs.(i). *)
-let compose_vec man f subs =
-  if Array.length subs <> man.nvars then
-    invalid_arg "Bdd.compose_vec: substitution arity mismatch";
-  let memo = Hashtbl.create 64 in
-  let rec go n =
-    if is_terminal n then n
-    else
-      match Hashtbl.find_opt memo n with
-      | Some r -> r
-      | None ->
-        let r = ite man subs.(ivar man n) (go (ihigh man n)) (go (ilow man n)) in
         Hashtbl.add memo n r;
         r
   in
@@ -961,8 +925,5 @@ let cover_with man cover inputs =
   else run_program man (program_of k (truth_of_cover k cover)) inputs
 
 (* Direct encodings where cover variable i is BDD variable i. *)
-let of_cube man cube =
-  cube_with man cube (Array.init man.nvars (fun v -> var man v))
-
 let of_cover man cover =
   cover_with man cover (Array.init man.nvars (fun v -> var man v))

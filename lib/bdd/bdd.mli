@@ -86,12 +86,8 @@ val bnot : man -> t -> t
 val band : man -> t -> t -> t
 val bor : man -> t -> t -> t
 val bxor : man -> t -> t -> t
-val bnand : man -> t -> t -> t
-val bnor : man -> t -> t -> t
 val bxnor : man -> t -> t -> t
 val bimply : man -> t -> t -> t
-val band_list : man -> t list -> t
-val bor_list : man -> t list -> t
 
 val eval : man -> t -> bool array -> bool
 
@@ -118,14 +114,11 @@ val support : man -> t -> bool array
 val satcount : man -> t -> Extfloat.t
 (** Number of satisfying assignments over all manager variables. *)
 
-val any_sat : man -> t -> (int * bool) list option
 val sample_sat : man -> t -> rand_float:(unit -> float) -> bool array option
 (** Uniform random minterm of the function, or [None] if unsatisfiable. *)
 
 val exists : man -> bool array -> t -> t
-val forall : man -> bool array -> t -> t
 val restrict : man -> t -> int -> bool -> t
-val compose_vec : man -> t -> t array -> t
 
 val cube_with : man -> Logic2.Cube.t -> t array -> t
 (** The cube with its variable [v] standing for the function
@@ -137,5 +130,4 @@ val cover_with : man -> Logic2.Cover.t -> t array -> t
     into a short AND/XOR/ITE program and replayed; a larger one is
     folded cube by cube. The handle is the same either way. *)
 
-val of_cube : man -> Logic2.Cube.t -> t
 val of_cover : man -> Logic2.Cover.t -> t

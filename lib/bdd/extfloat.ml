@@ -54,7 +54,6 @@ let compare a b =
 
 let equal a b = compare a b = 0
 let lt a b = compare a b < 0
-let leq a b = compare a b <= 0
 
 let to_float t = Float.ldexp t.m t.e2
 

@@ -15,13 +15,11 @@ val div : t -> t -> t
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val lt : t -> t -> bool
-val leq : t -> t -> bool
 
 val to_float : t -> float
 (** May overflow to [infinity] for very large values. *)
 
 val log2 : t -> float
-val log10 : t -> float
 
 val to_string : t -> string
 (** Scientific notation (e.g. ["8.0e66"]), exact for huge exponents. *)

@@ -36,11 +36,3 @@ let paper_target = 6.3
 (* Σ_y(Δ_y) = !a1 + !a0·b1 over inputs (a0, a1, b0, b1). *)
 let paper_spcf =
   Logic2.Sop.parse ~vars:[| "a0"; "a1"; "b0"; "b1" |] "!a1 + !a0*b1"
-
-(* ỹ = (a0 + !b0)(a1 + !b1), e = !a1 + b1 (after simplification). *)
-let paper_prediction =
-  Logic2.Sop.parse ~vars:[| "a0"; "a1"; "b0"; "b1" |]
-    "a0*a1 + a0*!b1 + !b0*a1 + !b0*!b1"
-
-let paper_indicator =
-  Logic2.Sop.parse ~vars:[| "a0"; "a1"; "b0"; "b1" |] "!a1 + b1"

@@ -12,9 +12,3 @@ val paper_target : float
 
 val paper_spcf : Logic2.Cover.t
 (** Σ_y = !a1 + !a0·b1 over inputs (a0, a1, b0, b1). *)
-
-val paper_prediction : Logic2.Cover.t
-(** ỹ = (a0 + !b0)(a1 + !b1), expanded to SOP. *)
-
-val paper_indicator : Logic2.Cover.t
-(** e = !a1 + b1 (after the paper's simplification step). *)

@@ -53,9 +53,6 @@ let find_signal d name =
     d.gates;
   !found
 
-let live_gates d =
-  Array.fold_left (fun acc g -> if g = None then acc else acc + 1) 0 d.gates
-
 let design_of_mapped circuit =
   let net = Mapped.network circuit in
   let inputs = Network.inputs net in

@@ -40,9 +40,6 @@ val find_signal : design -> string -> int option
 val gate_of : design -> int -> gate option
 (** The gate occupying a slot signal ([None] for PIs and dead slots). *)
 
-val live_gates : design -> int
-(** Occupied gate slots. *)
-
 val design_of_mapped : Mapped.t -> design
 (** Raises [Invalid_argument] if some internal node carries no library
     cell (unmapped circuits cannot be edited). *)
@@ -107,10 +104,6 @@ val parse_edits : design -> string -> edit list
     add-output NAME TARGET
     drop-output NAME
     v} *)
-
-val edit_to_string : design -> edit -> string
-(** The {!parse_edits} line for an edit, valid in the given design
-    (i.e. the design the edit applies to). *)
 
 val edits_to_string : design -> edit list -> string
 

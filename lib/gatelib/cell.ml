@@ -54,5 +54,3 @@ let find name = Hashtbl.find_opt by_name name
 
 let and_cells = [| an2; an3; an4 |] (* index = arity - 2 *)
 let or_cells = [| or2; or3; or4 |]
-let nand_cells = [| nd2; nd3; nd4 |]
-let nor_cells = [| nr2; nr3; nr4 |]

@@ -15,23 +15,9 @@ val make : string -> int -> float -> float -> float -> string -> t
 val inv : t
 val buf : t
 val nd2 : t
-val nd3 : t
-val nd4 : t
-val nr2 : t
-val nr3 : t
-val nr4 : t
 val an2 : t
-val an3 : t
-val an4 : t
 val or2 : t
-val or3 : t
-val or4 : t
 val eo : t
-val en : t
-val aoi21 : t
-val aoi22 : t
-val oai21 : t
-val oai22 : t
 
 val mux21 : t
 (** Pin convention: a = 0-input, b = 1-input, c = select. *)
@@ -43,5 +29,3 @@ val and_cells : t array
 (** AND cells indexed by [arity - 2] (2..4 inputs). *)
 
 val or_cells : t array
-val nand_cells : t array
-val nor_cells : t array

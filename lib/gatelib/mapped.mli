@@ -16,7 +16,6 @@ val cell_of : t -> Network.signal -> Cell.t option
 val gate_count : t -> int
 val area : t -> float
 
-val output_load : float
 val loads : t -> float array
 (** Capacitive load per signal (fanout pin caps + primary-output load). *)
 

@@ -53,7 +53,6 @@ let map2 f a b =
 let union a b = map2 ( lor ) a b
 let inter a b = map2 ( land ) a b
 let diff a b = map2 (fun x y -> x land lnot y) a b
-let symdiff a b = map2 ( lxor ) a b
 
 let complement a =
   let words = Array.map lnot a.words in

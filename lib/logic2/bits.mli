@@ -17,7 +17,6 @@ val assign : t -> int -> bool -> unit
 val union : t -> t -> t
 val inter : t -> t -> t
 val diff : t -> t -> t
-val symdiff : t -> t -> t
 val complement : t -> t
 
 val is_empty : t -> bool

@@ -26,10 +26,6 @@ let has_universe t = List.exists Cube.is_universe t.cubes
 
 let eval t assignment = List.exists (fun c -> Cube.eval c assignment) t.cubes
 
-let add_cube t c =
-  if Cube.num_vars c <> t.n then invalid_arg "Cover.add_cube: arity mismatch";
-  { t with cubes = c :: t.cubes }
-
 let union a b =
   if a.n <> b.n then invalid_arg "Cover.union: arity mismatch";
   { n = a.n; cubes = a.cubes @ b.cubes }
@@ -191,9 +187,6 @@ let minimize ?dc t =
   in
   let expanded = expand_against t ~offset:care_complement in
   irredundant ?dc expanded
-
-let sort_by_literals t =
-  { t with cubes = List.sort Cube.compare_by_literals t.cubes }
 
 let support t =
   List.fold_left (fun acc c -> Bits.union acc (Cube.support c)) (Bits.create t.n) t.cubes

@@ -14,21 +14,17 @@ val is_zero : t -> bool
 val has_universe : t -> bool
 
 val eval : t -> bool array -> bool
-val add_cube : t -> Cube.t -> t
 val union : t -> t -> t
 val cofactor : t -> int -> bool -> t
-val cofactor_cube : t -> Cube.t -> t
 
 val single_cube_containment : t -> t
 (** Drop cubes contained in another single cube; also dedups. *)
 
-val most_binate_var : t -> int option
 val is_tautology : t -> bool
 
 val covers_cube : ?dc:t -> t -> Cube.t -> bool
 (** [covers_cube ~dc f c]: is every minterm of [c] in [f ∪ dc]? *)
 
-val covers_cover : ?dc:t -> t -> t -> bool
 val equivalent : t -> t -> bool
 
 val complement : t -> t
@@ -40,13 +36,9 @@ val intersects : t -> t -> bool
 val irredundant : ?dc:t -> t -> t
 (** Remove cubes covered by the rest of the cover (plus don't-cares). *)
 
-val expand_against : t -> offset:t -> t
-(** Greedily grow each cube while it stays disjoint from [offset]. *)
-
 val minimize : ?dc:t -> t -> t
 (** Espresso-lite: expand against the care-complement, then irredundant. *)
 
-val sort_by_literals : t -> t
 val support : t -> Bits.t
 val pp : ?names:(int -> string) -> Format.formatter -> t -> unit
 val to_string : ?names:(int -> string) -> t -> string

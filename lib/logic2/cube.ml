@@ -62,10 +62,6 @@ let disjoint a b = Option.is_none (intersect a b)
 let distance a b =
   Bits.count (Bits.inter a.pos b.neg) + Bits.count (Bits.inter a.neg b.pos)
 
-(* Smallest cube containing both a and b: keep literals on which they agree. *)
-let supercube a b =
-  { n = a.n; pos = Bits.inter a.pos b.pos; neg = Bits.inter a.neg b.neg }
-
 (* Cofactor w.r.t. literal (v, ph): None if the cube requires v = not ph,
    otherwise the cube with v's literal removed. *)
 let cofactor t v ph =
@@ -132,8 +128,6 @@ let eval t assignment =
 let support t = Bits.union t.pos t.neg
 
 (* log2 of the number of minterms: 2^(n - #literals). *)
-let minterm_log2 t = t.n - num_literals t
-
 let pp ?names fmt t =
   if is_universe t then Format.fprintf fmt "1"
   else begin

@@ -37,16 +37,12 @@ val disjoint : t -> t -> bool
 val distance : t -> t -> int
 (** Number of variables on which the cubes take opposite polarities. *)
 
-val supercube : t -> t -> t
 val cofactor : t -> int -> bool -> t option
 val with_literal : t -> int -> bool -> t option
 val remove_var : t -> int -> t
 val consensus : t -> t -> t option
 val eval : t -> bool array -> bool
 val support : t -> Bits.t
-
-val minterm_log2 : t -> int
-(** [minterm_log2 c] is [log2] of the number of minterms of [c]. *)
 
 val pp : ?names:(int -> string) -> Format.formatter -> t -> unit
 val to_string : ?names:(int -> string) -> t -> string

@@ -28,32 +28,13 @@ let init n f =
 let of_cover cover =
   init (Cover.num_vars cover) (fun a -> Cover.eval cover a)
 
-let count_ones t =
-  let c = ref 0 in
-  for i = 0 to size t - 1 do
-    if get t i then incr c
-  done;
-  !c
-
 let equal a b = a.n = b.n && Bytes.equal a.table b.table
-
-let map2 f a b =
-  if a.n <> b.n then invalid_arg "Truth.map2: arity mismatch";
-  init a.n (fun _ -> false) |> fun t ->
-  for i = 0 to size t - 1 do
-    set t i (f (get a i) (get b i))
-  done;
-  t
 
 let lnot a = init a.n (fun _ -> false) |> fun t ->
   for i = 0 to size t - 1 do
     set t i (not (get a i))
   done;
   t
-
-let land_ a b = map2 ( && ) a b
-let lor_ a b = map2 ( || ) a b
-let lxor_ a b = map2 ( <> ) a b
 
 let minterms t =
   let acc = ref [] in

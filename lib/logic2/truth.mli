@@ -3,21 +3,14 @@
 
 type t
 
-val max_vars : int
 val create : int -> t
 val num_vars : t -> int
 val size : t -> int
 val get : t -> int -> bool
 val set : t -> int -> bool -> unit
-val assignment_of_index : int -> int -> bool array
 val init : int -> (bool array -> bool) -> t
 val of_cover : Cover.t -> t
-val count_ones : t -> int
 val equal : t -> t -> bool
 val lnot : t -> t
-val land_ : t -> t -> t
-val lor_ : t -> t -> t
-val lxor_ : t -> t -> t
 val minterms : t -> int list
-val cover_of_minterms : int -> int list -> Cover.t
 val to_cover : t -> Cover.t

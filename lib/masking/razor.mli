@@ -17,8 +17,6 @@ type comparison = {
   masking : scheme;
 }
 
-val razor_cell_area : float
-
 val compare_schemes :
   ?trials:int ->
   ?seed:int ->

@@ -18,8 +18,6 @@ let loc_to_string l =
   | Some f -> Printf.sprintf "%s:%d" f l.line
   | None -> Printf.sprintf "line %d" l.line
 
-let pp_loc fmt l = Format.pp_print_string fmt (loc_to_string l)
-
 let fail_at loc fmt =
   Printf.ksprintf (fun s -> raise (Parse_error (loc_to_string loc ^ ": " ^ s))) fmt
 

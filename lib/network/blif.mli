@@ -14,7 +14,6 @@ exception Parse_error of string
 type loc = { file : string option; line : int }
 (** A source position; [line] is 1-based. *)
 
-val pp_loc : Format.formatter -> loc -> unit
 val loc_to_string : loc -> string
 
 type raw_node = {

@@ -9,8 +9,6 @@ type limits = {
   passes : int;
 }
 
-val default_limits : limits
-
 val rebalance_xor : Network.t -> Network.t
 (** Rebuild maximal single-fanout XOR/XNOR chains as balanced trees. *)
 

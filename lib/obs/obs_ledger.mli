@@ -16,10 +16,6 @@ val path : unit -> string option
 
 val enabled : unit -> bool
 
-val realtime_now : unit -> float
-(** Wall-clock epoch seconds (CLOCK_REALTIME) — for ledger stamps only;
-    durations must keep using the monotonic {!Obs.now}. *)
-
 val iso8601 : float -> string
 (** Epoch seconds as ["YYYY-MM-DDThh:mm:ssZ"] (UTC). *)
 

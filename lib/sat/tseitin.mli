@@ -18,9 +18,6 @@ val encode_sop : Dpll.t -> int ref -> Logic2.Cover.t -> input array -> input
     the result may itself be a [Const] when the bindings decide the
     cover outright. *)
 
-val encode_network :
-  Dpll.t -> int ref -> input_var:(string -> int) -> Network.t -> encoding
-
 val equivalent : Network.t -> Network.t -> bool
 (** SAT-based combinational equivalence (inputs/outputs matched by
     name) — independent of [Network.equivalent]. *)

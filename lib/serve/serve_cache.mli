@@ -14,8 +14,6 @@ val create : cap_mb:int -> t
     order-of-magnitude estimates; eviction is least-recently-used and
     always leaves at least one entry). *)
 
-val key_of : Serve_jobs.circuit -> string
-
 val lookup : t -> Serve_jobs.lookup
 (** The [lookup] handed to job runners: LRU hit, or
     {!Serve_jobs.load_entry} (mapping forced) + insert. *)

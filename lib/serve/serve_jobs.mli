@@ -43,8 +43,6 @@ val note_circuit : note -> string -> Network.t -> unit
 (** Note the circuit name and content digest (skipped when [note] is
     [None]). *)
 
-val note_run : note -> theta:float -> jobs:int -> unit
-
 val report_synthesis_degradation : Buffer.t -> Masking.Synthesis.t -> unit
 (** The "budget: degraded to ..." line, also needed by CLI commands
     that synthesize outside these runners ([emask wearout]). *)

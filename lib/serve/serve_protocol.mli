@@ -13,8 +13,6 @@ exception Protocol_error of string
     [status = "rejected"], [code = "PROTO001"] response where the
     connection still permits one. *)
 
-val max_frame : int
-
 val read_frame : Unix.file_descr -> string
 
 val write_frame : Unix.file_descr -> string -> unit
@@ -38,9 +36,6 @@ type response =
   | Error_resp of string * string  (** code, message — job failures *)
 
 val parse_request : string -> request
-val json_of_request : request -> Obs_json.t
-val parse_response : string -> response
-val json_of_response : response -> Obs_json.t
 
 val send_request : Unix.file_descr -> request -> unit
 val send_response : Unix.file_descr -> response -> unit

@@ -17,9 +17,5 @@ val popcount : int -> int
     pattern words masked to their valid bits. The reduction is in fact
     exact on all 63 bits of any int. *)
 
-val toggle_counts : t -> Util.Rng.t -> rounds:int -> int array * int
-(** Per-signal toggle counts over consecutive random patterns, and the
-    number of pattern pairs simulated. *)
-
 val activities : t -> Util.Rng.t -> rounds:int -> float array
 (** Per-signal toggle probability. *)

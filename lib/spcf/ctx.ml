@@ -140,11 +140,6 @@ type result = {
 
 let count t result = Bdd.satcount t.man result.union
 
-let count_output t result name =
-  match List.find_opt (fun (n, _, _) -> n = name) result.outputs with
-  | Some (_, _, sigma) -> Some (Bdd.satcount t.man sigma)
-  | None -> None
-
 let num_critical_outputs result = List.length result.outputs
 
 let make_result t ~algorithm ~target outputs ~runtime =

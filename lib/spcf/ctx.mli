@@ -65,7 +65,6 @@ type result = {
 val count : t -> result -> Extfloat.t
 (** Number of critical patterns (minterms of the union SPCF). *)
 
-val count_output : t -> result -> string -> Extfloat.t option
 val num_critical_outputs : result -> int
 
 val make_result :

@@ -27,8 +27,6 @@ type options = {
 
 let proposed_options = { arrival_shortcut = true; share_across_outputs = true }
 
-let path_based_options = { arrival_shortcut = false; share_across_outputs = false }
-
 let value_bdd ctx s v =
   if v then ctx.Ctx.funcs.(s) else Bdd.bnot ctx.Ctx.man ctx.Ctx.funcs.(s)
 

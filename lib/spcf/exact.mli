@@ -10,7 +10,6 @@ type options = {
 }
 
 val proposed_options : options
-val path_based_options : options
 
 (** The (signal, value, time budget) stability memo: an open-addressing
     table over packed int keys. *)

@@ -67,8 +67,6 @@ let push h key value =
   in
   up (h.size - 1)
 
-let peek_key h = if h.size = 0 then None else Some h.keys.(0)
-
 let pop h =
   if h.size = 0 then None
   else begin

@@ -8,7 +8,6 @@ val create : 'a -> 'a t
 val is_empty : 'a t -> bool
 val size : 'a t -> int
 val push : 'a t -> float -> 'a -> unit
-val peek_key : 'a t -> float option
 val pop : 'a t -> (float * 'a) option
 
 (** The heap is stable: among equal keys, pop order is push order. *)

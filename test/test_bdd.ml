@@ -137,22 +137,6 @@ let prop_bdd_restrict =
           Bdd.eval man r env = eval_expr env' e)
         all_envs)
 
-let prop_bdd_compose =
-  QCheck.Test.make ~name:"bdd: vector composition" ~count:100
-    (QCheck.triple (arb_expr nvars) (arb_expr nvars) (QCheck.int_bound (nvars - 1)))
-    (fun (e, g, v) ->
-      let man = Bdd.create ~nvars () in
-      let f = build_bdd man e in
-      let subs = Array.init nvars (fun i -> Bdd.var man i) in
-      subs.(v) <- build_bdd man g;
-      let composed = Bdd.compose_vec man f subs in
-      List.for_all
-        (fun env ->
-          let env' = Array.copy env in
-          env'.(v) <- eval_expr env g;
-          Bdd.eval man composed env = eval_expr env' e)
-        all_envs)
-
 let prop_bdd_support =
   QCheck.Test.make ~name:"bdd: support contains exactly the sensitive vars" ~count:200
     (arb_expr nvars) (fun e ->
@@ -168,19 +152,6 @@ let prop_bdd_support =
           all_envs
       in
       List.for_all (fun v -> sup.(v) = sensitive v) (List.init nvars (fun i -> i)))
-
-let prop_bdd_any_sat =
-  QCheck.Test.make ~name:"bdd: any_sat returns a satisfying partial assignment"
-    ~count:200 (arb_expr nvars) (fun e ->
-      let man = Bdd.create ~nvars () in
-      let f = build_bdd man e in
-      match Bdd.any_sat man f with
-      | None -> f = Bdd.bfalse
-      | Some lits ->
-        let env = Array.make nvars false in
-        (* Free variables default to false; check both defaults. *)
-        List.iter (fun (v, value) -> env.(v) <- value) lits;
-        Bdd.eval man f env)
 
 let prop_bdd_cover_bridge =
   QCheck.Test.make ~name:"bdd: of_cover matches Cover.eval" ~count:200
@@ -284,9 +255,7 @@ let () =
           prop_bdd_satcount;
           prop_bdd_exists;
           prop_bdd_restrict;
-          prop_bdd_compose;
           prop_bdd_support;
-          prop_bdd_any_sat;
           prop_bdd_cover_bridge;
         ];
       ( "bdd-unit",

@@ -179,7 +179,7 @@ let build_eq man =
     List.init eq_bits (fun i ->
         Bdd.bxnor man (Bdd.var man i) (Bdd.var man (eq_bits + i)))
   in
-  Bdd.band_list man fs
+  List.fold_left (Bdd.band man) Bdd.btrue fs
 
 let test_growth_and_rehash () =
   let man = Bdd.create ~nvars:(2 * eq_bits) () in
@@ -283,8 +283,6 @@ let prop_ops_vs_eval =
               bin "band" Bdd.band ( && );
               bin "bor" Bdd.bor ( || );
               bin "bxor" Bdd.bxor ( <> );
-              bin "bnand" Bdd.bnand (fun a b -> not (a && b));
-              bin "bnor" Bdd.bnor (fun a b -> not (a || b));
               bin "bxnor" Bdd.bxnor ( = );
               bin "bimply" Bdd.bimply (fun a b -> (not a) || b);
               List.iter

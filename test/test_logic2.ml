@@ -90,8 +90,7 @@ let test_cube_basic () =
   check "not covers universe" false (Cube.covers c (Cube.universe 4));
   check "polarity pos" true (Cube.polarity c 0 = Cube.Pos);
   check "polarity neg" true (Cube.polarity c 2 = Cube.Neg);
-  check "polarity absent" true (Cube.polarity c 1 = Cube.Absent);
-  check_int "minterm_log2" 2 (Cube.minterm_log2 c)
+  check "polarity absent" true (Cube.polarity c 1 = Cube.Absent)
 
 let test_cube_ops () =
   let a = Cube.make 3 [ (0, true) ] and b = Cube.make 3 [ (0, false); (1, true) ] in
@@ -103,9 +102,7 @@ let test_cube_ops () =
   | None -> Alcotest.fail "intersect should exist");
   (match Cube.consensus a b with
   | Some x -> check "consensus" true (Cube.equal x (Cube.make 3 [ (1, true) ]))
-  | None -> Alcotest.fail "consensus should exist");
-  check "supercube" true
-    (Cube.equal (Cube.supercube a b) (Cube.universe 3))
+  | None -> Alcotest.fail "consensus should exist")
 
 let prop_cube_intersect_eval =
   QCheck.Test.make ~name:"cube: eval of intersection = conjunction" ~count:500
