@@ -102,8 +102,8 @@ let synthesis_case circuit_name =
     prepare =
       (fun () ->
         let net = Suite.load circuit_name in
-        (* One SPCF domain, whatever EMASK_JOBS or the host says, so the
-           counters are deterministic. *)
+        (* One SPCF domain, whatever EMASK_JOBS says, so the counters
+           are deterministic. *)
         let options = { Masking.Synthesis.default_options with jobs = 1 } in
         fun () ->
           let m = Masking.Synthesis.synthesize ~options net in

@@ -32,8 +32,8 @@ type options = {
           empty, so dropping it removes nothing from Σ. Only the
           exact tier prunes; fallback tiers carry no certificate. *)
   jobs : int;
-      (** SPCF worker domains ([Spcf.Parallel]); 0 = inherit
-          [EMASK_JOBS], 1 = sequential (default) *)
+      (** SPCF worker domains ([Spcf.Parallel]); 0 (the default) =
+          [EMASK_JOBS] when set, else 1 = sequential *)
   budget : Budget.spec;
       (** resource governance. [Budget.no_limits] (the default) runs
           the ungoverned path unchanged; otherwise [synthesize] walks
