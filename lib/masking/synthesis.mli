@@ -98,4 +98,3 @@ val select_cubes :
   Logic2.Cover.t ->
   Logic2.Cover.t
 (** Greedy essential-weight cube selection (exposed for tests). *)
-

@@ -149,11 +149,8 @@ let eval_outputs t pi_values =
   let value = eval t pi_values in
   Array.map (fun (_, s) -> value.(s)) (outputs t)
 
-(* Global BDDs for every signal inside [man]. [pis.(i)] is the function
-   of the i-th primary input (default: BDD variable i); [reuse s] may
-   hand back a handle already known for gate [s]. The inputs come
-   first, then the gates in construction order (a topological order),
-   so every caller builds the same nodes in the same order. *)
+(* Inputs first, then gates in construction order (a topological
+   order), so equal calls build equal nodes in the same order. *)
 let elaborate ?inputs:pis ?(reuse = fun _ -> None) man t =
   let f = Array.make t.count Bdd.bfalse in
   Array.iteri
