@@ -10,20 +10,23 @@ let or2 = Logic2.Sop.parse ~vars:vars2 "x + y"
 let xor2 = Logic2.Sop.parse ~vars:vars2 "x*!y + !x*y"
 let inv1 = Logic2.Sop.parse ~vars:[| "x" |] "!x"
 
-(* A small reference network: f = (a&b) ^ !(c|d), g = a&b *)
-let build_reference () =
+(* A small reference network, f = (a&b) ^ !(c|d), g = a&b, with its
+   inputs declared in [order]; input "a" is called [a_name]. *)
+let build_reordered ?(a_name = "a") order =
   let net = Network.create () in
-  let a = Network.add_input net "a" in
-  let b = Network.add_input net "b" in
-  let c = Network.add_input net "c" in
-  let d = Network.add_input net "d" in
-  let ab = Network.add_node net "ab" ~fanins:[| a; b |] ~func:and2 in
-  let cd = Network.add_node net "cd" ~fanins:[| c; d |] ~func:or2 in
+  let pis =
+    List.map (fun n -> (n, Network.add_input net (if n = "a" then a_name else n))) order
+  in
+  let pi n = List.assoc n pis in
+  let ab = Network.add_node net "ab" ~fanins:[| pi "a"; pi "b" |] ~func:and2 in
+  let cd = Network.add_node net "cd" ~fanins:[| pi "c"; pi "d" |] ~func:or2 in
   let ncd = Network.add_node net "ncd" ~fanins:[| cd |] ~func:inv1 in
   let f = Network.add_node net "f" ~fanins:[| ab; ncd |] ~func:xor2 in
   Network.mark_output net ~name:"f" f;
   Network.mark_output net ~name:"g" ab;
   net
+
+let build_reference () = build_reordered [ "a"; "b"; "c"; "d" ]
 
 let reference_f a b c d = (a && b) <> not (c || d)
 let reference_g a b = a && b
@@ -89,22 +92,6 @@ let test_equivalence () =
   Network.mark_output net3 ~name:"f" f;
   Network.mark_output net3 ~name:"g" ab;
   check "mutant differs" false (Network.equivalent net net3)
-
-(* The reference network with its inputs declared in [order]; input
-   "a" is called [a_name]. *)
-let build_reordered ?(a_name = "a") order =
-  let net = Network.create () in
-  let pis =
-    List.map (fun n -> (n, Network.add_input net (if n = "a" then a_name else n))) order
-  in
-  let pi n = List.assoc n pis in
-  let ab = Network.add_node net "ab" ~fanins:[| pi "a"; pi "b" |] ~func:and2 in
-  let cd = Network.add_node net "cd" ~fanins:[| pi "c"; pi "d" |] ~func:or2 in
-  let ncd = Network.add_node net "ncd" ~fanins:[| cd |] ~func:inv1 in
-  let f = Network.add_node net "f" ~fanins:[| ab; ncd |] ~func:xor2 in
-  Network.mark_output net ~name:"f" f;
-  Network.mark_output net ~name:"g" ab;
-  net
 
 (* Inputs match by name, not by position: reversing the declaration
    order keeps the networks equivalent (matching by position would
