@@ -9,7 +9,9 @@
      dune exec bench/main.exe -- --json     # measure table1+table2 and
                                             # write BENCH_table1.json /
                                             # BENCH_table2.json baselines
-     dune exec bench/main.exe -- --json --quick          # two small circuits
+     dune exec bench/main.exe -- --json --quick          # two small circuits,
+                                            # written to BENCH_table1.quick.json /
+                                            # BENCH_table2.quick.json
      dune exec bench/main.exe -- --json --quick \
          --against BENCH_table1.json --against BENCH_table2.json
                                             # fail (exit 1) on any counter
@@ -540,8 +542,8 @@ let check_regressions ~baselines results =
   else false
 
 let run json quick againsts filter =
-  (* Baselines are loaded before any BENCH_*.json is rewritten, so
-     comparing against the committed files in-place works. *)
+  (* Baselines are loaded before any BENCH_*.json is rewritten, so a
+     full run can compare against the committed files in place. *)
   let baselines = List.concat_map load_baseline againsts in
   let cfg =
     if quick then Benchmark.cfg ~limit:50 ~quota:(Time.second 0.25) ~kde:None ()
@@ -573,8 +575,10 @@ let run json quick againsts filter =
     let t2 = run_group (table2_cases ~quick) in
     let tp = run_group (paths_cases ~quick) in
     let teco = run_group (eco_cases ~quick) in
-    write_json "BENCH_table1.json" (json_of_results ~quick (t1 @ tp @ teco));
-    write_json "BENCH_table2.json" (json_of_results ~quick t2)
+    (* A quick subset never replaces the full baselines. *)
+    let file n = sprintf "BENCH_table%d%s.json" n (if quick then ".quick" else "") in
+    write_json (file 1) (json_of_results ~quick (t1 @ tp @ teco));
+    write_json (file 2) (json_of_results ~quick t2)
   end
   else begin
     ignore (run_group (table1_cases ~quick));
@@ -610,7 +614,9 @@ let () =
     Arg.(
       value & flag
       & info [ "json" ]
-          ~doc:"Measure table1 and table2 and write the BENCH_*.json baselines.")
+          ~doc:
+            "Measure table1 and table2 and write the BENCH_*.json baselines \
+             (BENCH_*.quick.json with $(b,--quick)).")
   in
   let quick =
     Arg.(value & flag & info [ "quick" ] ~doc:"Two small circuits per table.")

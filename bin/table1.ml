@@ -45,7 +45,7 @@ let run_row ~collect ~jobs ~spec entry =
   let net = Suite.network entry in
   (* Pre-flight: reject a malformed circuit with a one-line summary
      instead of failing deep inside BDD construction. *)
-  Analysis.Lint.gate ~what:name (Analysis.Lint.preflight net);
+  Analysis.Lint.gate_check ~what:name (Analysis.Lint.preflight net);
   (* Fresh context per algorithm: shared BDD managers would warm the
      caches of whichever algorithm runs later. With no budget limits
      the governed driver is exactly the plain computation, bit for

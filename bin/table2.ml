@@ -40,7 +40,7 @@ let run sidecar trace jobs budget =
       let net = Suite.network entry in
       (* Pre-flight: reject a malformed circuit with a one-line summary
          instead of failing deep inside synthesis. *)
-      Analysis.Lint.gate ~what:entry.Suite.ename (Analysis.Lint.preflight net);
+      Analysis.Lint.gate_check ~what:entry.Suite.ename (Analysis.Lint.preflight net);
       if collect then Obs.reset ();
       let options = { Masking.Synthesis.default_options with jobs; budget } in
       let m = Masking.Synthesis.synthesize ~options net in
@@ -51,10 +51,7 @@ let run sidecar trace jobs budget =
       let r = Masking.Verify.check m in
       if collect then
         all_stats := (entry.Suite.ename, Obs_json.snapshot ()) :: !all_stats;
-      let ok =
-        r.Masking.Verify.equivalent && r.Masking.Verify.coverage_ok
-        && r.Masking.Verify.prediction_ok
-      in
+      let ok = r.Masking.Verify.findings = [] in
       slacks := r.Masking.Verify.slack_pct :: !slacks;
       areas := r.Masking.Verify.area_overhead_pct :: !areas;
       powers := r.Masking.Verify.power_overhead_pct :: !powers;

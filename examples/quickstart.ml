@@ -49,8 +49,6 @@ let () =
   (* Verify everything and report the paper's Table-2 metrics. *)
   let r = Masking.Verify.check m in
   Format.printf "@[<v 2>verification:@ %a@]@." Masking.Verify.pp r;
-  assert (r.Masking.Verify.equivalent);
-  assert (r.Masking.Verify.coverage_ok);
-  assert (r.Masking.Verify.prediction_ok);
+  assert (r.Masking.Verify.findings = []);
   Format.printf "all checks passed: timing errors on speed-paths within 10%% of the@.";
   Format.printf "critical path delay are masked at the outputs, with zero functional risk.@."

@@ -1,11 +1,10 @@
 (* Masking-contract verification (paper Sec. 4), as lint passes over a
    synthesized Masking.Synthesis.t: structural mux-insertion checks,
-   BDD-based non-intrusiveness and indicator soundness, and the >= 20%
-   timing-slack requirement on the masking circuit. *)
+   Masking.Verify's non-intrusiveness and indicator-soundness findings
+   rendered as diagnostics, and the >= 20% timing-slack requirement on
+   the masking circuit. *)
 
 open Masking
-
-let slack_margin = 0.2
 
 let run_pass name f x =
   Obs.with_span ("lint.contract." ^ name) @@ fun () -> f x
@@ -50,84 +49,32 @@ let check_mux_insertion (m : Synthesis.t) =
     m.Synthesis.per_output)
     m
 
-(* BDDs of the combined and original circuits in the SPCF manager (the
-   input orders agree by construction); the original circuit's are the
-   context's own functions. *)
-let elaborate_pair (m : Synthesis.t) =
-  let ctx = m.Synthesis.ctx in
-  let man = ctx.Spcf.Ctx.man in
-  let cf = Network.elaborate man (Mapped.network m.Synthesis.combined) in
-  (man, cf, ctx.Spcf.Ctx.funcs)
-
-let check_non_intrusive (m : Synthesis.t) =
-  run_pass "non-intrusive"
-    (fun (m : Synthesis.t) ->
-  let _, cf, of_ = elaborate_pair m in
-  let onet = Mapped.network m.Synthesis.original in
-  let orig_outs = Network.outputs onet in
-  let orig name =
-    Array.find_opt (fun (n, _) -> n = name) orig_outs |> Option.map snd
+(* One MASK001 / MASK004 diagnostic per Verify finding. *)
+let diag_of_finding f =
+  let d code name fmt =
+    Printf.ksprintf (fun msg -> Diag.diag code ~signal:name msg) fmt
   in
-  Array.to_list (Network.outputs (Mapped.network m.Synthesis.combined))
-  |> List.filter_map (fun (name, s) ->
-         if Synthesis.is_err_output name then None
-         else
-           match orig name with
-           | None ->
-             Some
-               (Diag.diag Diag.Mask_intrusive ~signal:name
-                  (Printf.sprintf
-                     "combined circuit exposes output %S absent from the original"
-                     name))
-           | Some os ->
-             if cf.(s) = of_.(os) then None
-             else
-               Some
-                 (Diag.diag Diag.Mask_intrusive ~signal:name
-                    (Printf.sprintf
-                       "masked output %S is not combinationally equivalent to the \
-                        original"
-                       name))))
-    m
+  match f with
+  | Verify.Absent name ->
+    d Diag.Mask_intrusive name
+      "combined circuit exposes output %S absent from the original" name
+  | Verify.Intrusive name ->
+    d Diag.Mask_intrusive name
+      "masked output %S is not combinationally equivalent to the original" name
+  | Verify.Uncovered name ->
+    d Diag.Mask_coverage name
+      "indicator of %S does not cover its SPCF (some speed-path pattern is unmasked)"
+      name
+  | Verify.Unsound name ->
+    d Diag.Mask_coverage name
+      "indicator of %S can select an incorrect prediction (e raised while ~y \
+       differs from y)"
+      name
 
-let check_indicator_soundness (m : Synthesis.t) =
-  run_pass "indicator"
-    (fun (m : Synthesis.t) ->
-  let man, cf, _ = elaborate_pair m in
-  List.concat_map
-    (fun (po : Synthesis.per_output) ->
-      let name = po.Synthesis.name in
-      let e = cf.(po.Synthesis.e_combined) in
-      let y = cf.(po.Synthesis.y_combined) in
-      let yt = cf.(po.Synthesis.ytilde_combined) in
-      let sigma = po.Synthesis.sigma in
-      let coverage =
-        if Bdd.bimply man sigma e <> Bdd.btrue then
-          [
-            Diag.diag Diag.Mask_coverage ~signal:name
-              (Printf.sprintf
-                 "indicator of %S does not cover its SPCF (some speed-path pattern \
-                  is unmasked)"
-                 name);
-          ]
-        else []
-      in
-      let soundness =
-        if Bdd.bimply man e (Bdd.bxnor man y yt) <> Bdd.btrue then
-          [
-            Diag.diag Diag.Mask_coverage ~signal:name
-              (Printf.sprintf
-                 "indicator of %S can select an incorrect prediction (e raised while \
-                  ~y differs from y)"
-                 name);
-          ]
-        else []
-      in
-      coverage @ soundness)
-    m.Synthesis.per_output)
-    m
+let of_findings m findings =
+  check_mux_insertion m @ List.map diag_of_finding findings
 
-let check_slack ?(margin = slack_margin) (m : Synthesis.t) =
+let check_slack ?(margin = Synthesis.slack_margin) (m : Synthesis.t) =
   run_pass "slack"
     (fun (m : Synthesis.t) ->
   if m.Synthesis.per_output = [] then []
@@ -156,5 +103,4 @@ let check_slack ?(margin = slack_margin) (m : Synthesis.t) =
 
 let check ?margin m =
   Obs.with_span "lint.contract" @@ fun () ->
-  check_mux_insertion m @ check_non_intrusive m @ check_indicator_soundness m
-  @ check_slack ?margin m
+  of_findings m (Verify.findings m) @ check_slack ?margin m

@@ -1,10 +1,14 @@
 (* Standard pass pipelines, and the pre-flight gate used by the CLI
    entry points. *)
 
-let source src =
-  Obs.with_span "lint.source" @@ fun () ->
-  Passes.source_multi_driver src @ Passes.source_undriven src
-  @ Passes.source_cycles src @ Passes.source_structure src
+(* The four source passes; the preflight keeps only their errors. *)
+let source_passes src =
+  List.concat_map
+    (fun pass -> pass src)
+    Passes.
+      [ source_multi_driver; source_undriven; source_cycles; source_structure ]
+
+let source src = Obs.with_span "lint.source" @@ fun () -> source_passes src
 
 let network net =
   Obs.with_span "lint.network" @@ fun () ->
@@ -26,19 +30,16 @@ let masking ?margin m =
       m.Masking.Synthesis.combined
 
 let preflight_source src =
-  Obs.with_span "lint.preflight" @@ fun () ->
-  Diag.errors
-    (Passes.source_multi_driver src @ Passes.source_undriven src
-   @ Passes.source_cycles src @ Passes.source_structure src)
+  Obs.with_span "lint.preflight" @@ fun () -> Diag.errors (source_passes src)
 
 let preflight net =
   Obs.with_span "lint.preflight" @@ fun () -> Diag.errors (Passes.net_no_outputs net)
 
 exception Gate_failed of string
 
-(* The raising form of the preflight gate: long-running callers (the
-   serve daemon) must translate a bad circuit into a per-request
-   diagnostic, not a process exit. *)
+(* The preflight gate raises rather than exits: the serve daemon turns
+   a bad circuit into a per-request diagnostic, and the CLI boundary
+   renders it as a one-line error. *)
 let gate_check ~what diags =
   match Diag.errors diags with
   | [] -> ()
@@ -47,9 +48,3 @@ let gate_check ~what diags =
       (Gate_failed
          (Printf.sprintf "%s: %s — run `emask lint` for details" what
             (Diag.summary errs)))
-
-let gate ~what diags =
-  try gate_check ~what diags
-  with Gate_failed msg ->
-    Printf.eprintf "emask: %s\n%!" msg;
-    exit 2

@@ -19,8 +19,8 @@ val masking : ?margin:float -> Masking.Synthesis.t -> Diag.t list
     lint of the combined circuit. *)
 
 val preflight_source : Blif.source -> Diag.t list
-(** The cheap error-only subset run before elaboration: multi-driver,
-    undriven, cycles, no-outputs. Linear in the netlist; anything it
+(** The errors among {!source}'s findings, run before elaboration:
+    multi-driver, undriven, cycles, no-outputs. Linear in the netlist; anything it
     reports would make {!Blif.elaborate} (and everything downstream)
     fail. *)
 
@@ -34,11 +34,7 @@ exception Gate_failed of string
     ("WHAT: SUMMARY — run `emask lint` for details"). *)
 
 val gate_check : what:string -> Diag.t list -> unit
-(** Raise {!Gate_failed} if [diags] contains errors — the form for
-    callers that must survive a bad circuit (the serve daemon turns it
-    into a per-request error response). *)
-
-val gate : what:string -> Diag.t list -> unit
-(** Exit-code policy helper for CLI entry points: {!gate_check}, but a
-    tripped gate prints the summary to [stderr] and exits with status
+(** Raise {!Gate_failed} if [diags] contains errors. The serve daemon
+    turns it into a per-request error response; the CLI boundary
+    ([bin/cli.ml]) prints the summary to [stderr] and exits with status
     2. *)

@@ -278,7 +278,7 @@ let classify_paths ctx paths =
 
 let assemble = make_report
 
-let analyze_ctx ?(band = 0.1) ?(max_paths = 4096) ?jobs ctx =
+let analyze_ctx ?(band = Paths.default_band) ?(max_paths = Paths.default_max_paths) ?jobs ctx =
   let jobs = match jobs with Some j -> max 1 j | None -> 1 in
   Obs.enter "sens.analyze";
   Fun.protect ~finally:Obs.leave (fun () ->
@@ -296,7 +296,7 @@ let analyze_ctx ?(band = 0.1) ?(max_paths = 4096) ?jobs ctx =
       in
       make_report ctx ~jobs enum classified)
 
-let analyze ?model ?(band = 0.1) ?(max_paths = 4096) ?jobs ?budget circuit =
+let analyze ?model ?(band = Paths.default_band) ?(max_paths = Paths.default_max_paths) ?jobs ?budget circuit =
   let jobs = match jobs with Some j -> max 1 j | None -> 1 in
   match Spcf.Ctx.create ?model ?budget circuit with
   | ctx -> analyze_ctx ~band ~max_paths ~jobs ctx

@@ -63,8 +63,9 @@ val analyze :
   ?budget:Budget.t ->
   Mapped.t ->
   report
-(** Build a context and classify. [band] defaults to [0.1],
-    [max_paths] to [4096], [jobs] to [1]; [jobs > 1] fans
+(** Build a context and classify. [band] defaults to
+    {!Paths.default_band}, [max_paths] to {!Paths.default_max_paths},
+    [jobs] to [1]; [jobs > 1] fans
     classification across domains via [Spcf.Parallel]. Budget
     exhaustion never escapes: a path whose classification runs out is
     [Unknown], and if the budget dies while

@@ -396,7 +396,7 @@ let c_funcs_rebuilt = Obs.counter "eco.funcs.rebuilt"
 let c_sigmas_reused = Obs.counter "eco.sigmas.reused"
 let c_sigmas_recomputed = Obs.counter "eco.sigmas.recomputed"
 
-let snapshot ?(theta = 0.9) ?(model = Sta.Library) ?band ?(jobs = 1)
+let snapshot ?(theta = Spcf.Ctx.paper_theta) ?(model = Sta.Library) ?band ?(jobs = 1)
     ?(budget = Budget.unlimited) design =
   let circuit, sig_of = lower design in
   let ctx = Spcf.Ctx.create ~model ~budget circuit in

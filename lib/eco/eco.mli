@@ -145,7 +145,7 @@ val snapshot :
   design ->
   t
 (** Full analysis from scratch over a fresh context
-    ([theta] defaults to [0.9], [model] to [Library], sensitization
+    ([theta] defaults to {!Spcf.Ctx.paper_theta}, [model] to [Library], sensitization
     runs only when [band] is given, [jobs] defaults to [1]). Can raise
     [Budget.Budget_exceeded]. *)
 

@@ -26,10 +26,7 @@ type options = {
   algorithm : algorithm;
   indicator : indicator;
   cube_order : cube_order;
-  simplify_e : bool;
-  optimize : bool;
   collapse : bool;
-  map_style : Mapper.style;
   log_errors : bool;
   delay_model : Sta.delay_model;
   prune_false_paths : bool;
@@ -38,16 +35,16 @@ type options = {
   budget : Budget.spec; (* resource governance; no_limits = ungoverned *)
 }
 
+(* The masking circuit must be at least this much faster than C (Sec. 4). *)
+let slack_margin = 0.2
+
 let default_options =
   {
-    theta = 0.9;
+    theta = Spcf.Ctx.paper_theta;
     algorithm = Short_path;
     indicator = Direct;
     cube_order = Ascending;
-    simplify_e = true;
-    optimize = true;
     collapse = true;
-    map_style = Mapper.Balanced;
     log_errors = false;
     delay_model = Sta.Library;
     prune_false_paths = false;
@@ -154,8 +151,7 @@ let add_pi_cover_node tnet ~pis nm cover_full =
 
 let synthesize_body options net ~budget ~tier ~attempts =
   let original, smap =
-    Obs.with_span "map" (fun () ->
-        Mapper.map_with_signals ~style:options.map_style net)
+    Obs.with_span "map" (fun () -> Mapper.map_with_signals net)
   in
   let ctx, spcf =
     Spcf.Governed.run_tier ~jobs:options.jobs ~model:options.delay_model ~budget
@@ -258,10 +254,8 @@ let synthesize_body options net ~budget ~tier ~attempts =
             Logic2.Cover.single_cube_containment (Logic2.Cover.union n0 n1)
           in
           let e_cover =
-            if options.simplify_e then
-              Obs.with_span "cube-selection" (fun () ->
-                  select_cubes ~man ~order:Ascending ~sigma ~fanin_bdds e_cover)
-            else e_cover
+            Obs.with_span "cube-selection" (fun () ->
+                select_cubes ~man ~order:Ascending ~sigma ~fanin_bdds e_cover)
           in
           if not (Logic2.Cover.is_tautology e_cover) then
             e_of_node.(s) <-
@@ -356,24 +350,21 @@ let synthesize_body options net ~budget ~tier ~attempts =
   let gentle = { Netopt.max_sub_cubes = 2; max_result_cubes = 5; passes = 3 } in
   Obs.enter "optimize+map";
   let candidates =
-    if options.optimize then begin
-      let base =
-        [ Obs.with_span "netopt" (fun () -> Netopt.optimize ~limits:gentle ~collapse:false tnet) ]
-      in
-      let base =
-        if options.collapse then
-          Obs.with_span "netopt-collapse" (fun () ->
-              Netopt.optimize ~limits:gentle ~collapse:true tnet)
-          :: base
-        else base
-      in
-      match (if outputs_meta = [] then None else flat_variant ()) with
-      | Some tf -> base @ [ tf ]
-      | None -> base
-    end
-    else [ tnet ]
+    let base =
+      [ Obs.with_span "netopt" (fun () -> Netopt.optimize ~limits:gentle ~collapse:false tnet) ]
+    in
+    let base =
+      if options.collapse then
+        Obs.with_span "netopt-collapse" (fun () ->
+            Netopt.optimize ~limits:gentle ~collapse:true tnet)
+        :: base
+      else base
+    in
+    match (if outputs_meta = [] then None else flat_variant ()) with
+    | Some tf -> base @ [ tf ]
+    | None -> base
   in
-  let slack_goal = 0.8 *. delta in
+  let slack_goal = (1. -. slack_margin) *. delta in
   let score mc =
     let d = Obs.with_span "sta" (fun () -> Sta.delta (Sta.analyze ~model:options.delay_model mc)) in
     let meets = d <= slack_goal in
@@ -384,7 +375,7 @@ let synthesize_body options net ~budget ~tier ~attempts =
   let masking_net, masking =
     match
       Obs.with_span "map" (fun () ->
-          List.map (fun n -> (n, Mapper.map ~style:options.map_style n)) candidates)
+          List.map (fun n -> (n, Mapper.map n)) candidates)
     with
     | [] -> assert false
     | first :: rest ->

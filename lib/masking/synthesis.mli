@@ -13,14 +13,11 @@ type algorithm = Spcf.Governed.algorithm = Short_path | Path_based | Node_based
 type cube_order = Ascending | Descending | Unsorted
 
 type options = {
-  theta : float;  (** target arrival factor; the paper uses 0.9 *)
+  theta : float;  (** target arrival factor; default {!Spcf.Ctx.paper_theta} *)
   algorithm : algorithm;  (** SPCF computation engine *)
   indicator : indicator;
   cube_order : cube_order;  (** essential-weight scan order (ablation) *)
-  simplify_e : bool;  (** the paper's final e cube elimination *)
-  optimize : bool;  (** run Netopt on T̃ before mapping *)
   collapse : bool;  (** allow affine chain collapsing *)
-  map_style : Mapper.style;
   log_errors : bool;  (** add e·(y⊕ỹ) outputs for wearout logging *)
   delay_model : Sta.delay_model;
   prune_false_paths : bool;
@@ -45,6 +42,12 @@ type options = {
 }
 
 val default_options : options
+
+val slack_margin : float
+(** The paper's slack rule (Sec. 4): the masking circuit's critical
+    path is at most [(1 - slack_margin) · Δ(C)], i.e. at least 20 %
+    faster than C. Candidate selection prefers masking circuits that
+    meet it; lint's MASK002 checks it. *)
 
 type per_output = {
   name : string;

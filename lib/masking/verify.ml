@@ -4,12 +4,17 @@
    (every SPCF pattern raises the indicator), prediction soundness
    (a raised indicator implies a correct prediction), the timing-slack
    requirement on the masking circuit, and the area/power overheads the
-   paper reports in Table 2. *)
+   paper reports in Table 2. The first three are the masking contract,
+   decided here only: lint's Contract renders these findings. *)
+
+type finding =
+  | Absent of string
+  | Intrusive of string
+  | Uncovered of string
+  | Unsound of string
 
 type report = {
-  equivalent : bool;
-  coverage_ok : bool;
-  prediction_ok : bool;
+  findings : finding list; (* [] iff the contract holds *)
   coverage_pct : float;
   critical_outputs : int;
   critical_minterms : Extfloat.t;
@@ -28,8 +33,11 @@ type report = {
 let c_outputs_checked = Obs.counter "verify.outputs_checked"
 let c_power_rounds = Obs.counter "verify.power_rounds"
 
-let check ?(power_rounds = 128) (m : Synthesis.t) =
-  Obs.with_span "verify" @@ fun () ->
+(* The masking contract in one pass: the findings in check order
+   (equivalence over the combined outputs, then coverage and
+   prediction per critical output) and the covered / total Σ minterm
+   counts. *)
+let contract (m : Synthesis.t) =
   let ctx = m.Synthesis.ctx in
   let man = ctx.Spcf.Ctx.man in
   (* Elaborate the combined circuit in the SPCF manager: input names and
@@ -38,40 +46,52 @@ let check ?(power_rounds = 128) (m : Synthesis.t) =
   let cnet = Mapped.network m.Synthesis.combined in
   let cf = Obs.with_span "elaborate" (fun () -> Network.elaborate man cnet) in
   let of_ = ctx.Spcf.Ctx.funcs in
-  let onet = Mapped.network m.Synthesis.original in
-  let orig_out name =
-    match Array.find_opt (fun (n, _) -> n = name) (Network.outputs onet) with
-    | Some (_, s) -> of_.(s)
-    | None -> invalid_arg ("Verify.check: unknown output " ^ name)
-  in
+  let orig_outs = Network.outputs (Mapped.network m.Synthesis.original) in
   (* Equivalence over every original output. *)
-  let equivalent =
+  let equivalence =
     Obs.with_span "equivalence" @@ fun () ->
-    Array.for_all
-      (fun (name, s) -> Synthesis.is_err_output name || cf.(s) = orig_out name)
-      (Network.outputs cnet)
+    Array.to_list (Network.outputs cnet)
+    |> List.filter_map (fun (name, s) ->
+           if Synthesis.is_err_output name then None
+           else
+             match Array.find_opt (fun (n, _) -> n = name) orig_outs with
+             | None -> Some (Absent name)
+             | Some (_, os) -> if cf.(s) = of_.(os) then None else Some (Intrusive name))
   in
   (* Coverage and prediction checks per critical output. *)
-  let coverage_ok = ref true and prediction_ok = ref true in
   let covered = ref Extfloat.zero and total = ref Extfloat.zero in
   Obs.enter "coverage";
-  List.iter
-    (fun (po : Synthesis.per_output) ->
-      Obs.incr c_outputs_checked;
-      let e = cf.(po.Synthesis.e_combined) in
-      let y = cf.(po.Synthesis.y_combined) in
-      let yt = cf.(po.Synthesis.ytilde_combined) in
-      let sigma = po.Synthesis.sigma in
-      if Bdd.bimply man sigma e <> Bdd.btrue then coverage_ok := false;
-      if Bdd.bimply man e (Bdd.bxnor man y yt) <> Bdd.btrue then
-        prediction_ok := false;
-      covered := Extfloat.add !covered (Bdd.satcount man (Bdd.band man sigma e));
-      total := Extfloat.add !total (Bdd.satcount man sigma))
-    m.Synthesis.per_output;
+  let indicators =
+    List.concat_map
+      (fun (po : Synthesis.per_output) ->
+        Obs.incr c_outputs_checked;
+        let name = po.Synthesis.name in
+        let e = cf.(po.Synthesis.e_combined) in
+        let y = cf.(po.Synthesis.y_combined) in
+        let yt = cf.(po.Synthesis.ytilde_combined) in
+        let sigma = po.Synthesis.sigma in
+        let uncovered = Bdd.bimply man sigma e <> Bdd.btrue in
+        let unsound = Bdd.bimply man e (Bdd.bxnor man y yt) <> Bdd.btrue in
+        covered := Extfloat.add !covered (Bdd.satcount man (Bdd.band man sigma e));
+        total := Extfloat.add !total (Bdd.satcount man sigma);
+        (if uncovered then [ Uncovered name ] else [])
+        @ if unsound then [ Unsound name ] else [])
+      m.Synthesis.per_output
+  in
   Obs.leave ();
+  (equivalence @ indicators, !covered, !total)
+
+let findings m =
+  Obs.with_span "verify" @@ fun () ->
+  let fs, _, _ = contract m in
+  fs
+
+let check ?(power_rounds = 128) (m : Synthesis.t) =
+  Obs.with_span "verify" @@ fun () ->
+  let findings, covered, total = contract m in
   let coverage_pct =
-    if Extfloat.is_zero !total then 100.
-    else 100. *. Extfloat.to_float (Extfloat.div !covered !total)
+    if Extfloat.is_zero total then 100.
+    else 100. *. Extfloat.to_float (Extfloat.div covered total)
   in
   (* Timing. *)
   Obs.enter "timing";
@@ -94,12 +114,10 @@ let check ?(power_rounds = 128) (m : Synthesis.t) =
   Obs.leave ();
   let power_overhead_pct = 100. *. (power_total -. power_original) /. power_original in
   {
-    equivalent;
-    coverage_ok = !coverage_ok;
-    prediction_ok = !prediction_ok;
+    findings;
     coverage_pct;
     critical_outputs = List.length m.Synthesis.per_output;
-    critical_minterms = Spcf.Ctx.count ctx m.Synthesis.spcf;
+    critical_minterms = Spcf.Ctx.count m.Synthesis.ctx m.Synthesis.spcf;
     delta_original;
     delta_masking;
     slack_pct;
@@ -113,10 +131,15 @@ let check ?(power_rounds = 128) (m : Synthesis.t) =
   }
 
 let pp fmt r =
+  let clear p = not (List.exists p r.findings) in
   Format.fprintf fmt
     "equiv=%b coverage=%b(%.1f%%) prediction=%b critPO=%d minterms=%s@ \
      delta %.3f -> masking %.3f (slack %.1f%%) mux impact %.3f@ area +%.1f%% power +%.1f%%"
-    r.equivalent r.coverage_ok r.coverage_pct r.prediction_ok r.critical_outputs
+    (clear (function Absent _ | Intrusive _ -> true | _ -> false))
+    (clear (function Uncovered _ -> true | _ -> false))
+    r.coverage_pct
+    (clear (function Unsound _ -> true | _ -> false))
+    r.critical_outputs
     (Extfloat.to_string r.critical_minterms)
     r.delta_original r.delta_masking r.slack_pct r.mux_delay_impact
     r.area_overhead_pct r.power_overhead_pct

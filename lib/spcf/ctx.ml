@@ -127,6 +127,7 @@ let delta t = Sta.delta t.sta
 
 (* The default experiment target: speed-paths within (1 - theta) of the
    critical path delay; the paper uses theta = 0.9. *)
+let paper_theta = 0.9
 let target_of_theta t theta = theta *. delta t
 
 (* Per-output SPCF result of one algorithm run. *)

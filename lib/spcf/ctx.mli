@@ -51,6 +51,11 @@ val of_funcs :
 val network : t -> Network.t
 
 val delta : t -> float
+
+val paper_theta : float
+(** The paper's target arrival factor, 0.9: the default [theta] of
+    masking synthesis and of [Eco.snapshot]. *)
+
 val target_of_theta : t -> float -> float
 
 type result = {

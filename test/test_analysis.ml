@@ -268,10 +268,64 @@ let test_synthesis_lints_clean () =
       check (name ^ " masking error-free") true (Diag.errors masking = []))
     [ "cmb"; "x2"; "cu"; "C432" ]
 
-(* A deliberately broken synthesis result is hard to fabricate through
-   the public API (the types keep the invariants); instead check the
-   slack pass against a tightened margin that C432's masking circuit
-   cannot meet. *)
+(* A broken synthesis result, three ways: Σ widened to every pattern
+   (Σ ⊄ e), the first critical output's prediction replaced by ¬y
+   (e ⊄ (ỹ = y)), and an extra combined output the original lacks.
+   Verify must report exactly the expected finding, and Contract must
+   render each finding as one MASK001 / MASK004 diagnostic, in order. *)
+let expect_findings what m expected =
+  let fs = Masking.Verify.findings m in
+  check (what ^ ": findings") true (fs = expected);
+  check (what ^ ": check agrees") true
+    ((Masking.Verify.check ~power_rounds:1 m).Masking.Verify.findings = fs);
+  let rendered =
+    List.filter
+      (fun d -> d.Diag.code = Diag.Mask_intrusive || d.Diag.code = Diag.Mask_coverage)
+      (Contract.check m)
+  in
+  check_int (what ^ ": one diagnostic per finding") (List.length fs)
+    (List.length rendered);
+  List.iter2
+    (fun f d ->
+      let code, name =
+        match f with
+        | Masking.Verify.Absent n | Intrusive n -> (Diag.Mask_intrusive, n)
+        | Uncovered n | Unsound n -> (Diag.Mask_coverage, n)
+      in
+      check (what ^ ": code") true (d.Diag.code = code);
+      check (what ^ ": signal") true (d.Diag.signal = Some name))
+    fs rendered
+
+let test_broken_contract () =
+  List.iter
+    (fun circuit ->
+      let synth () = Masking.Synthesis.synthesize (Suite.load circuit) in
+      let tamper_first m f =
+        match m.Masking.Synthesis.per_output with
+        | po :: rest -> ({ m with per_output = f po :: rest }, po.Masking.Synthesis.name)
+        | [] -> Alcotest.fail (circuit ^ " has no critical output")
+      in
+      let m, name = tamper_first (synth ()) (fun po -> { po with sigma = Bdd.btrue }) in
+      expect_findings (circuit ^ " sigma := 1") m [ Masking.Verify.Uncovered name ];
+      let m = synth () in
+      let m, name =
+        tamper_first m (fun po ->
+            let not_y =
+              Mapped.add_gate m.Masking.Synthesis.combined Cell.inv
+                [| po.Masking.Synthesis.y_combined |]
+            in
+            { po with ytilde_combined = not_y })
+      in
+      expect_findings (circuit ^ " ytilde := not y") m [ Masking.Verify.Unsound name ];
+      let m = synth () in
+      let po = List.hd m.Masking.Synthesis.per_output in
+      Mapped.mark_output m.Masking.Synthesis.combined ~name:"extra"
+        po.Masking.Synthesis.y_combined;
+      expect_findings (circuit ^ " extra output") m [ Masking.Verify.Absent "extra" ])
+    [ "C432"; "x2" ]
+
+(* The slack pass against a tightened margin that C432's masking
+   circuit cannot meet. *)
 let test_contract_slack_margin () =
   let m = Masking.Synthesis.synthesize (Suite.load "C432") in
   check "paper margin met" true (Contract.check_slack m = []);
@@ -364,5 +418,6 @@ let () =
           Alcotest.test_case "known warnings" `Slow test_suite_known_warnings;
           Alcotest.test_case "synthesis clean" `Slow test_synthesis_lints_clean;
           Alcotest.test_case "slack margin" `Slow test_contract_slack_margin;
+          Alcotest.test_case "broken contract" `Quick test_broken_contract;
         ] );
     ]

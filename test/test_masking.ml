@@ -7,9 +7,7 @@ let check = Alcotest.(check bool)
 let full_check ?(options = Masking.Synthesis.default_options) name net =
   let m = Masking.Synthesis.synthesize ~options net in
   let r = Masking.Verify.check m in
-  check (name ^ ": equivalent") true r.Masking.Verify.equivalent;
-  check (name ^ ": coverage") true r.Masking.Verify.coverage_ok;
-  check (name ^ ": prediction") true r.Masking.Verify.prediction_ok;
+  check (name ^ ": contract holds") true (r.Masking.Verify.findings = []);
   check (name ^ ": coverage 100%") true (r.Masking.Verify.coverage_pct >= 100. -. 1e-6);
   (m, r)
 
@@ -56,22 +54,6 @@ let test_cube_orders () =
       ignore (full_check ~options "order" (Suite.load "x2")))
     [ Masking.Synthesis.Ascending; Masking.Synthesis.Descending; Masking.Synthesis.Unsorted ]
 
-let test_no_optimize () =
-  let options =
-    { Masking.Synthesis.default_options with optimize = false; collapse = false }
-  in
-  ignore (full_check ~options "no-optimize" (Suite.load "cmb"))
-
-let test_no_simplify_e () =
-  let options =
-    {
-      Masking.Synthesis.default_options with
-      indicator = Masking.Synthesis.Structural;
-      simplify_e = false;
-    }
-  in
-  ignore (full_check ~options "no-simplify-e" (Suite.load "x2"))
-
 let test_node_based_masking () =
   (* Masking driven by the over-approximate SPCF is also sound (it just
      protects more patterns). *)
@@ -98,7 +80,7 @@ let test_no_critical_outputs () =
   let m = Masking.Synthesis.synthesize ~options net in
   check "no critical outputs" true (m.Masking.Synthesis.per_output = []);
   let r = Masking.Verify.check m in
-  check "still equivalent" true r.Masking.Verify.equivalent
+  check "still equivalent" true (r.Masking.Verify.findings = [])
 
 let test_log_errors_outputs () =
   let options = { Masking.Synthesis.default_options with log_errors = true } in
@@ -188,8 +170,6 @@ let () =
         [
           Alcotest.test_case "structural indicator" `Slow test_structural_indicator;
           Alcotest.test_case "cube orders" `Quick test_cube_orders;
-          Alcotest.test_case "no optimize" `Quick test_no_optimize;
-          Alcotest.test_case "no e simplification" `Quick test_no_simplify_e;
           Alcotest.test_case "node-based SPCF" `Quick test_node_based_masking;
           Alcotest.test_case "theta sweep" `Quick test_theta_sweep;
           Alcotest.test_case "no critical outputs" `Quick test_no_critical_outputs;

@@ -155,12 +155,8 @@ let test_synthesis_determinism () =
         Masking.Verify.check (Masking.Synthesis.synthesize ~options net)
       in
       let r1 = run 1 and r4 = run 4 in
-      check (name ^ " equivalent") r1.Masking.Verify.equivalent
-        r4.Masking.Verify.equivalent;
-      check (name ^ " coverage_ok") r1.Masking.Verify.coverage_ok
-        r4.Masking.Verify.coverage_ok;
-      check (name ^ " prediction_ok") r1.Masking.Verify.prediction_ok
-        r4.Masking.Verify.prediction_ok;
+      check (name ^ " findings") true
+        (r1.Masking.Verify.findings = r4.Masking.Verify.findings);
       check_int (name ^ " critical outputs") r1.Masking.Verify.critical_outputs
         r4.Masking.Verify.critical_outputs;
       check (name ^ " critical minterms") true
